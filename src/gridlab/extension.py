@@ -24,7 +24,7 @@ from .poset import (
     is_linear_extension,
     is_realizer,
 )
-from .ramsey import Verdict, search_counterexample
+from .ramsey import Verdict, induced_copies, search_counterexample
 
 PARTITION_KEY_GUARD = 200_000
 
@@ -510,8 +510,7 @@ def nonuniform_counterexample_demo(x: Poset, m1: LinearExtension, m2: LinearExte
     if q is not None:
         if q_ext is None or not is_linear_extension(q, q_ext):
             raise ContractViolation("supply a linear extension of the candidate poset")
-        from .ramsey import _copy_search
-        for image in _copy_search(q, x, None, None, 10_000_000):
+        for image in induced_copies(q, x, guard_nodes=10_000_000):
             checked += 1
             conforms1 = all(q_ext.before(image[a], image[b])
                             for a in range(x.n) for b in range(x.n)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import ContractViolation, GuardExceeded
-from .poset import iter_bits as _bits
+from .errors import ContractViolation
+from .poset import induced_embeddings, iter_bits as _bits
 
 INDUCED_SEARCH_GUARD = 20_000_000
 
@@ -47,18 +47,7 @@ class Graph:
 
     def degeneracy(self) -> int:
         """Max over the removal order of the minimum degree at removal time."""
-        alive = (1 << self.n) - 1
-        worst = 0
-        for _ in range(self.n):
-            best_v, best_d = -1, self.n + 1
-            for v in range(self.n):
-                if (alive >> v) & 1:
-                    d = (self.adj[v] & alive).bit_count()
-                    if d < best_d:
-                        best_v, best_d = v, d
-            worst = max(worst, best_d)
-            alive &= ~(1 << best_v)
-        return worst
+        return _min_degree_removal(self)[1]
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -70,23 +59,31 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges())})"
 
 
+def _min_degree_removal(g: Graph) -> tuple[list[int], int]:
+    """Vertices removed one at a time at minimum remaining degree (lowest index
+    on ties), and the largest such degree, which is the degeneracy."""
+    alive = (1 << g.n) - 1
+    removal = []
+    worst = 0
+    for _ in range(g.n):
+        best_v, best_d = -1, g.n + 1
+        for v in _bits(alive):
+            d = (g.adj[v] & alive).bit_count()
+            if d < best_d:
+                best_v, best_d = v, d
+        removal.append(best_v)
+        worst = max(worst, best_d)
+        alive &= ~(1 << best_v)
+    return removal, worst
+
+
 def degeneracy_coloring(g: Graph) -> list[int]:
     """Greedy colors along a minimum-degree-last order, 0-based.
 
     Uses at most degeneracy + 1 colors, so at most 6 on the 5-degenerate
     hosts the refutation argument needs.
     """
-    alive = (1 << g.n) - 1
-    removal = []
-    for _ in range(g.n):
-        best_v, best_d = -1, g.n + 1
-        for v in range(g.n):
-            if (alive >> v) & 1:
-                d = (g.adj[v] & alive).bit_count()
-                if d < best_d:
-                    best_v, best_d = v, d
-        removal.append(best_v)
-        alive &= ~(1 << best_v)
+    removal = _min_degree_removal(g)[0]
     colors = [-1] * g.n
     for v in reversed(removal):
         neighbor_colors = {colors[u] for u in _bits(g.adj[v]) if colors[u] >= 0}
@@ -108,15 +105,14 @@ class EdgeColoring:
     n: int
     colors: tuple[tuple[tuple[int, int], int], ...]
 
-    def color_of(self, u: int, v: int) -> int:
-        key = (min(u, v), max(u, v))
-        for edge, c in self.colors:
-            if edge == key:
-                return c
-        raise ContractViolation(f"({u}, {v}) is not an edge")
+    def __post_init__(self):
+        object.__setattr__(self, "_index", dict(self.colors))
 
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.colors)
+    def color_of(self, u: int, v: int) -> int:
+        try:
+            return self._index[min(u, v), max(u, v)]  # type: ignore[attr-defined]
+        except KeyError:
+            raise ContractViolation(f"({u}, {v}) is not an edge") from None
 
     def color_set(self) -> list[int]:
         return sorted({c for _, c in self.colors})
@@ -194,7 +190,8 @@ def find_mono_induced_subgraph(host: Graph, pattern: Graph, ec: EdgeColoring,
 
     Returns (color, image) or None after scanning every class exhaustively.
     The copy is induced in the host: pattern non-edges must be host non-edges
-    of any color.
+    of any color. ``guard_nodes`` bounds the kernel nodes of all classes
+    together.
     """
     for (u, v), _ in ec.colors:
         if not host.has_edge(u, v):
@@ -202,44 +199,19 @@ def find_mono_induced_subgraph(host: Graph, pattern: Graph, ec: EdgeColoring,
     if pattern.n > host.n:
         return None
     order = sorted(range(pattern.n), key=lambda v: (-pattern.degree(v), v))
-    nodes = 0
+    full = (1 << host.n) - 1
+    non_adj = [full ^ row for row in host.adj]
+    spent = 0
     for color in ec.color_set():
         class_adj = ec.class_graph(color).adj
-        image = [-1] * pattern.n
-
-        def rec(step: int, used: int) -> Optional[tuple[int, ...]]:
-            nonlocal nodes
-            if step == pattern.n:
-                return tuple(image)
-            p = order[step]
-            for cand in range(host.n):
-                if (used >> cand) & 1:
-                    continue
-                nodes += 1
-                if nodes > guard_nodes:
-                    raise GuardExceeded("induced-subgraph search exceeded its guard")
-                ok = True
-                for prev in range(step):
-                    q = order[prev]
-                    mapped = image[q]
-                    if pattern.has_edge(p, q):
-                        if not (class_adj[mapped] >> cand) & 1:
-                            ok = False
-                            break
-                    elif (host.adj[mapped] >> cand) & 1:
-                        ok = False
-                        break
-                if ok:
-                    image[p] = cand
-                    got = rec(step + 1, used | (1 << cand))
-                    if got is not None:
-                        return got
-                    image[p] = -1
-            return None
-
-        got = rec(0, 0)
-        if got is not None:
-            return color, got
+        checks = [[(u, class_adj if pattern.has_edge(v, u) else non_adj) for u in order[:s]]
+                  for s, v in enumerate(order)]
+        search = induced_embeddings(order, checks, [full] * pattern.n, guard_nodes - spent,
+                                    "induced-subgraph search exceeded its guard")
+        try:
+            return color, next(search)
+        except StopIteration as done:
+            spent += done.value
     return None
 
 

@@ -364,7 +364,7 @@ def _forced_partner_pairs(g: Poset, exts: Sequence[LinearExtension]):
         ranks = []
         ok = True
         for x in range(n):
-            rank = (g.dn[x] | (g.incomparable_mask(x) & above[x])).bit_count()
+            rank = (g.dn[x] | (g.inc[x] & above[x])).bit_count()
             ranks.append(rank)
         if sorted(ranks) != list(range(n)):
             continue

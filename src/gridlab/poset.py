@@ -9,8 +9,9 @@ order. Instances are immutable and safe for concurrent reads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 from .errors import ContractViolation, GuardExceeded
 
@@ -27,9 +28,10 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 class Poset:
-    """Immutable strict order; ``up[i]``/``dn[i]`` are above/below bitmasks."""
+    """Immutable strict order; ``up[i]``/``dn[i]``/``inc[i]`` are the bitmasks of
+    the elements above, below and incomparable to i."""
 
-    __slots__ = ("n", "up", "dn", "labels")
+    __slots__ = ("n", "up", "dn", "inc", "labels")
 
     def __init__(self, up: Sequence[int], labels: Optional[Sequence[str]] = None):
         n = len(up)
@@ -54,6 +56,8 @@ class Poset:
                     raise ContractViolation(f"transitivity violated below element {i}")
                 dn[j] |= 1 << i
         self.dn = tuple(dn)
+        self.inc = tuple(full & ~(u | d | (1 << i))
+                         for i, (u, d) in enumerate(zip(self.up, dn)))
 
     # -- relation accessors -------------------------------------------------
 
@@ -69,10 +73,6 @@ class Poset:
     def incomparable(self, x: int, y: int) -> bool:
         return x != y and not self.comparable(x, y)
 
-    def incomparable_mask(self, x: int) -> int:
-        full = (1 << self.n) - 1
-        return full & ~(self.up[x] | self.dn[x] | (1 << x))
-
     def comparable_pairs(self) -> Iterator[tuple[int, int]]:
         """All ordered pairs (a, b) with a < b, sorted by (a, b)."""
         for a in range(self.n):
@@ -81,7 +81,7 @@ class Poset:
     def incomparable_pairs(self) -> Iterator[tuple[int, int]]:
         """All unordered incomparable pairs as (a, b) with a < b numerically."""
         for a in range(self.n):
-            for b in iter_bits(self.incomparable_mask(a)):
+            for b in iter_bits(self.inc[a]):
                 if b > a:
                     yield (a, b)
 
@@ -400,11 +400,94 @@ def _profiles(p: Poset) -> list[tuple[int, int]]:
     return [(p.dn[i].bit_count(), p.up[i].bit_count()) for i in range(p.n)]
 
 
+def induced_embeddings(order: Sequence[int],
+                       checks: Sequence[Sequence[tuple[int, Sequence[int]]]],
+                       allowed: Sequence[int],
+                       guard_nodes: Optional[int] = None,
+                       guard_message: str = "embedding search exceeded its node guard",
+                       hook: Optional[Callable[[int, int, list[int]], bool]] = None,
+                       periodic: Optional[Callable[[], None]] = None
+                       ) -> Generator[tuple[int, ...], None, int]:
+    """Every injective placement of pattern elements 0..k-1 that passes the masks.
+
+    Step s places element ``order[s]``. Its candidates are the host elements
+    in ``allowed[s]``, minus those already used, ANDed with
+    ``table[image[y]]`` for each ``(y, table)`` in ``checks[s]`` (y an
+    element placed earlier): the candidate refinement of Ullmann (1976) and
+    VF2 (Cordella et al., 2004). Candidates are tried in increasing order,
+    so yields come depth-first in lexicographic order of the step images.
+    Each yield is the image tuple indexed by pattern element.
+
+    A node is a placement that survived the masks; ``hook(step, candidate,
+    image)``, with ``image`` holding the earlier steps' placements, may still
+    reject it. Counting only survivors, a search never
+    visits more nodes than one that tests each candidate pair by pair, so a
+    search that finished under ``guard_nodes`` that way still does. Past
+    the guard, GuardExceeded(``guard_message``) is raised; ``periodic`` runs
+    every 4096 nodes. The generator returns the number of nodes visited.
+    """
+    k = len(order)
+    if k == 0:
+        yield ()
+        return 0
+    limit = math.inf if guard_nodes is None else guard_nodes
+    image = [-1] * k
+    pending = [0] * k
+    pending[0] = allowed[0]
+    used = 0
+    nodes = 0
+    step = 0
+    last = k - 1
+    while True:
+        mask = pending[step]
+        if not mask:
+            if step == 0:
+                return nodes
+            step -= 1
+            used ^= 1 << image[order[step]]
+            continue
+        low = mask & -mask
+        pending[step] = mask ^ low
+        cand = low.bit_length() - 1
+        nodes += 1
+        if nodes > limit:
+            raise GuardExceeded(guard_message)
+        if periodic is not None and not nodes & 0xFFF:
+            periodic()
+        if hook is not None and not hook(step, cand, image):
+            continue
+        image[order[step]] = cand
+        if step == last:
+            yield tuple(image)
+            continue
+        used |= low
+        step += 1
+        mask = allowed[step] & ~used
+        for y, table in checks[step]:
+            mask &= table[image[y]]
+        pending[step] = mask
+
+
+def order_checks(p: Poset, order: Sequence[int], host: Poset,
+                 inc: Optional[Sequence[int]] = None
+                 ) -> list[list[tuple[int, Sequence[int]]]]:
+    """``checks`` for ``induced_embeddings`` that keep a copy of p induced.
+
+    The image of x must lie above, below or incomparable to the image of
+    each earlier y as x does to y in p; ``inc`` narrows the incomparable
+    rows (default ``host.inc``).
+    """
+    inc = host.inc if inc is None else inc
+    return [[(y, host.up if p.lt(y, x) else host.dn if p.lt(x, y) else inc)
+             for y in order[:s]] for s, x in enumerate(order)]
+
+
 def enumerate_isomorphisms(p: Poset, q: Poset,
                            cap: int = ISO_CAP) -> Iterator[tuple[int, ...]]:
-    """Yield every relation-preserving bijection p -> q, lexicographically.
+    """Yield every relation-preserving bijection p -> q.
 
-    Backtracking with (downset size, upset size) pruning; guarded by ``cap``.
+    Elements with fewer same-profile candidates (downset size, upset size)
+    are placed first; guarded by ``cap``.
     """
     if max(p.n, q.n) > cap:
         raise GuardExceeded(f"isomorphism search capped at {cap} elements")
@@ -414,31 +497,10 @@ def enumerate_isomorphisms(p: Poset, q: Poset,
     if sorted(prof_p) != sorted(prof_q):
         return
     n = p.n
-    candidates = [[j for j in range(n) if prof_q[j] == prof_p[i]] for i in range(n)]
-    order = sorted(range(n), key=lambda i: (len(candidates[i]), i))
-    image = [-1] * n
-
-    def rec(step: int, used: int) -> Iterator[tuple[int, ...]]:
-        if step == n:
-            yield tuple(image)
-            return
-        i = order[step]
-        for j in candidates[i]:
-            if (used >> j) & 1:
-                continue
-            ok = True
-            for s in range(step):
-                i2 = order[s]
-                j2 = image[i2]
-                if p.lt(i, i2) != q.lt(j, j2) or p.lt(i2, i) != q.lt(j2, j):
-                    ok = False
-                    break
-            if ok:
-                image[i] = j
-                yield from rec(step + 1, used | (1 << j))
-                image[i] = -1
-
-    yield from rec(0, 0)
+    classes = [sum(1 << j for j in range(n) if prof_q[j] == prof_p[i]) for i in range(n)]
+    order = sorted(range(n), key=lambda i: (classes[i].bit_count(), i))
+    yield from induced_embeddings(order, order_checks(p, order, q),
+                                  [classes[i] for i in order])
 
 
 def is_isomorphic(p: Poset, q: Poset, cap: int = ISO_CAP) -> Optional[tuple[int, ...]]:

@@ -37,9 +37,11 @@ from .poset import (
     LinearExtension,
     Poset,
     enumerate_isomorphisms,
+    induced_embeddings,
     induced_subposet,
     is_linear_extension,
     linear_extensions,
+    order_checks,
 )
 
 KIND_COMPARABILITY = "comparability"
@@ -233,53 +235,38 @@ def find_monochromatic_subgrid(n: int, t: int, m: int, l: int, coloring: Colorin
     return None
 
 
-def _copy_search(q: Poset, p: Poset, within: Optional[Sequence[int]],
-                 coloring: Optional[Coloring],
-                 guard_nodes: int) -> Iterator[tuple[int, ...]]:
-    """Backtracking enumeration of induced copies of p inside q.
+def induced_copies(q: Poset, p: Poset, within: Optional[Sequence[int]] = None,
+                   coloring: Optional[Coloring] = None,
+                   guard_nodes: int = NODE_GUARD) -> Iterator[tuple[int, ...]]:
+    """Induced copies of p inside q (restricted to ``within``), as image tuples
+    indexed by p-element, in lexicographic order of the images.
 
-    Yields image tuples indexed by p-element. With a coloring, branches whose
-    partial comparable pairs already disagree on a color are pruned, so the
-    yields are exactly the monochromatic embeddings.
+    With a coloring, placements whose comparable pairs already disagree on a
+    color are pruned, so the yields are exactly the monochromatic embeddings.
     """
-    allowed = range(q.n) if within is None else sorted(set(within))
-    image = [-1] * p.n
-    nodes = 0
+    steps = range(p.n)
+    allowed = (1 << q.n) - 1 if within is None else sum(1 << e for e in set(within))
+    hook = None
+    if coloring is not None:
+        # below[s]: the earlier elements comparable to s, and whether each is below s.
+        below = [[(y, p.lt(y, s)) for y in range(s) if p.comparable(y, s)] for s in steps]
+        colors = [None] * (p.n + 1)  # colors[s]: the common color of steps < s
 
-    def rec(step: int, used: int, color: Optional[int]) -> Iterator[tuple[int, ...]]:
-        nonlocal nodes
-        if step == p.n:
-            yield tuple(image)
-            return
-        for cand in allowed:
-            if (used >> cand) & 1:
-                continue
-            nodes += 1
-            if nodes > guard_nodes:
-                raise GuardExceeded("copy search exceeded its node guard")
-            if not nodes & 0xFFF:
-                _check_deadline()
-            ok = True
-            new_color = color
-            for prev in range(step):
-                a, b = image[prev], cand
-                if p.lt(prev, step) != q.lt(a, b) or p.lt(step, prev) != q.lt(b, a):
-                    ok = False
-                    break
-                if coloring is not None and q.comparable(a, b):
-                    key = (a, b) if q.lt(a, b) else (b, a)
-                    c = coloring.color_of(key)
-                    if new_color is None:
-                        new_color = c
-                    elif c != new_color:
-                        ok = False
-                        break
-            if ok:
-                image[step] = cand
-                yield from rec(step + 1, used | (1 << cand), new_color)
-                image[step] = -1
+        def hook(step: int, cand: int, image: list[int]) -> bool:
+            color = colors[step]
+            for y, is_below in below[step]:
+                a = image[y]
+                c = coloring.color_of((a, cand) if is_below else (cand, a))
+                if color is None:
+                    color = c
+                elif c != color:
+                    return False
+            colors[step + 1] = color
+            return True
 
-    yield from rec(0, 0, None)
+    return induced_embeddings(steps, order_checks(p, steps, q), [allowed] * p.n,
+                              guard_nodes, "copy search exceeded its node guard",
+                              hook, _check_deadline)
 
 
 def enumerate_induced_copy_sets(q: Poset, p: Poset, within: Optional[Sequence[int]] = None,
@@ -288,7 +275,7 @@ def enumerate_induced_copy_sets(q: Poset, p: Poset, within: Optional[Sequence[in
     """Distinct element sets of q inducing copies of p, first-found order."""
     seen = set()
     out = []
-    for image in _copy_search(q, p, within, None, guard_nodes):
+    for image in induced_copies(q, p, within, guard_nodes=guard_nodes):
         key = tuple(sorted(image))
         if key not in seen:
             seen.add(key)
@@ -304,7 +291,7 @@ def find_monochromatic_copy(q: Poset, p: Poset, coloring: Coloring,
     """First induced copy of p in q whose comparable pairs share one color."""
     if coloring.kind != KIND_COMPARABILITY:
         raise ContractViolation("copy search expects a comparability coloring")
-    for image in _copy_search(q, p, within, coloring, guard_nodes):
+    for image in induced_copies(q, p, within, coloring, guard_nodes):
         color = None
         for a in range(p.n):
             for b in range(p.n):
@@ -856,54 +843,29 @@ def enumerate_tie_free_cube_copies(g3: GridPoset,
     """Element sets of n^3 inducing 2^3 with no incomparable pair tied on any axis.
 
     Tie-freeness is exactly what lets the coordinates induce a realizer, so
-    the backtracking prunes on shared coordinates between incomparable slots
-    as well as on the order relation.
+    the incomparable rows handed to the kernel also exclude every element
+    sharing a coordinate with the placed one.
     """
     if g3.t != 3:
         raise ContractViolation("the probe works on 3-dimensional grids")
-    cube = _cube()
+    coords = [g3.coords(e) for e in range(g3.n)]
+    on_axis = [[0] * g3.k for _ in range(3)]  # on_axis[a][v]: coordinate a equals v
+    for e, c in enumerate(coords):
+        for a in range(3):
+            on_axis[a][c[a]] |= 1 << e
+    tie_free_inc = [row & ~(on_axis[0][x] | on_axis[1][y] | on_axis[2][z])
+                    for row, (x, y, z) in zip(g3.inc, coords)]
     # Atoms and coatoms first: they carry all nine incomparability constraints.
     slot_order = (1, 2, 4, 3, 5, 6, 0, 7)
-    image = [-1] * 8
-    coords = [g3.coords(e) for e in range(g3.n)]
-    nodes = 0
+    checks = order_checks(_cube(), slot_order, g3, tie_free_inc)
     seen = set()
     out = []
-
-    def rec(step: int, used: int):
-        nonlocal nodes
-        if step == 8:
-            key = tuple(sorted(image))
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
-            return
-        slot = slot_order[step]
-        for cand in range(g3.n):
-            if (used >> cand) & 1:
-                continue
-            nodes += 1
-            if nodes > guard_nodes:
-                raise GuardExceeded("tie-free copy search exceeded its node guard")
-            ok = True
-            for prev_step in range(step):
-                pslot = slot_order[prev_step]
-                q_elt = image[pslot]
-                if cube.lt(pslot, slot) != g3.lt(q_elt, cand) or \
-                        cube.lt(slot, pslot) != g3.lt(cand, q_elt):
-                    ok = False
-                    break
-                if cube.incomparable(pslot, slot):
-                    ca, cb = coords[q_elt], coords[cand]
-                    if ca[0] == cb[0] or ca[1] == cb[1] or ca[2] == cb[2]:
-                        ok = False
-                        break
-            if ok:
-                image[slot] = cand
-                rec(step + 1, used | (1 << cand))
-                image[slot] = -1
-
-    rec(0, 0)
+    for image in induced_embeddings(slot_order, checks, [(1 << g3.n) - 1] * 8, guard_nodes,
+                                    "tie-free copy search exceeded its node guard"):
+        key = tuple(sorted(image))
+        if key not in seen:
+            seen.add(key)
+            out.append(key)
     return out
 
 
