@@ -2,7 +2,8 @@
 
 Exit codes: 0 verdict-true/success, 1 verdict-false (counterexample or
 witness found against the claim), 2 inconclusive (a guard or time limit
-fired), 64 usage errors, 65 bad input files. Output is deterministic for
+fired), 64 usage errors, 65 bad input files, 70 internal errors (any other
+exception, traceback on stderr). Output is deterministic for
 fixed inputs and ``--seed``; search subcommands emit digest-carrying
 certificates that ``gridlab verify`` re-runs and compares byte-exactly.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -51,6 +53,7 @@ EX_FALSE = 1
 EX_INCONCLUSIVE = 2
 EX_USAGE = 64
 EX_DATAERR = 65
+EX_SOFTWARE = 70
 
 
 class _UsageError(Exception):
@@ -536,7 +539,12 @@ def run(argv: Sequence[str]) -> RunResult:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    result = run(sys.argv[1:] if argv is None else list(argv))
+    try:
+        result = run(sys.argv[1:] if argv is None else list(argv))
+    except Exception:
+        # A crash must never read as a verdict: exit 1 means "false".
+        traceback.print_exc()
+        return EX_SOFTWARE
     if result.output:
         print(result.output)
     return result.exit_code

@@ -243,8 +243,11 @@ def induced_copies(q: Poset, p: Poset, within: Optional[Sequence[int]] = None,
 
     With a coloring, placements whose comparable pairs already disagree on a
     color are pruned, so the yields are exactly the monochromatic embeddings.
+    ``within`` must name elements of q (ContractViolation otherwise).
     """
     steps = range(p.n)
+    if within is not None and any(not 0 <= e < q.n for e in within):
+        raise ContractViolation(f"within names an element outside the {q.n}-element host")
     allowed = (1 << q.n) - 1 if within is None else sum(1 << e for e in set(within))
     hook = None
     if coloring is not None:
@@ -308,74 +311,6 @@ def find_monochromatic_copy(q: Poset, p: Poset, coloring: Coloring,
 # -- counterexample-coloring search engine -------------------------------------------
 
 
-def _propagate(key: int, color: int, r: int, assign, forb, s_assigned, s_color,
-               s_dead, by_key, struct_keys, struct_size, trail) -> bool:
-    """Assign and unit-propagate; False on conflict. All changes hit the trail."""
-    queue = [(key, color)]
-    while queue:
-        k, c = queue.pop()
-        cur = assign[k]
-        if cur:
-            if cur != c:
-                return False
-            continue
-        if (forb[k] >> c) & 1:
-            return False
-        assign[k] = c
-        trail.append((0, k))
-        for sid in by_key[k]:
-            if s_dead[sid]:
-                continue
-            if s_assigned[sid] == 0:
-                s_color[sid] = c
-                trail.append((1, sid))
-            elif s_color[sid] != c:
-                s_dead[sid] = True
-                trail.append((2, sid))
-                s_assigned[sid] += 1
-                trail.append((3, sid))
-                continue
-            s_assigned[sid] += 1
-            trail.append((3, sid))
-            remaining = struct_size[sid] - s_assigned[sid]
-            if remaining == 0:
-                return False  # structure completed monochromatic
-            if remaining == 1:
-                hole = -1
-                for kk in struct_keys[sid]:
-                    if not assign[kk]:
-                        hole = kk
-                        break
-                mask = forb[hole]
-                bit = 1 << s_color[sid]
-                if not mask & bit:
-                    trail.append((4, hole, mask))
-                    forb[hole] = mask | bit
-                    allowed = [cc for cc in range(1, r + 1)
-                               if not (forb[hole] >> cc) & 1]
-                    if not allowed:
-                        return False
-                    if len(allowed) == 1:
-                        queue.append((hole, allowed[0]))
-    return True
-
-
-def _undo(trail, mark, assign, forb, s_assigned, s_color, s_dead) -> None:
-    while len(trail) > mark:
-        entry = trail.pop()
-        tag = entry[0]
-        if tag == 0:
-            assign[entry[1]] = 0
-        elif tag == 1:
-            s_color[entry[1]] = 0
-        elif tag == 2:
-            s_dead[entry[1]] = False
-        elif tag == 3:
-            s_assigned[entry[1]] -= 1
-        else:
-            forb[entry[1]] = entry[2]
-
-
 def search_counterexample(num_keys: int, structures: Sequence[tuple[int, ...]], r: int,
                           node_guard: int = NODE_GUARD,
                           prefix: Sequence[tuple[int, int]] = (),
@@ -383,57 +318,105 @@ def search_counterexample(num_keys: int, structures: Sequence[tuple[int, ...]], 
                           ) -> Optional[tuple[int, ...]]:
     """A coloring of 0..num_keys-1 leaving no structure monochromatic, or None.
 
-    Deterministic: keys are branched in index order, colors in increasing
-    order, and the first key is pinned to color 1 (color permutations act on
-    the counterexample space). ``prefix`` pins initial (key, color) choices,
-    which is how parallel shards split the tree.
+    Each structure is a set of distinct keys. Deterministic: keys are branched
+    in index order, colors in increasing order, and the first key is pinned to
+    color 1 (color permutations act on the counterexample space). ``prefix``
+    pins initial (key, color) choices, which is how parallel shards split the
+    tree. A node is one attempt of a color not forbidden on its key; past
+    ``node_guard`` nodes the search raises GuardExceeded.
+
+    The state is a few big ints over the keys: ``assigned``, ``col[c]`` (keys
+    colored c) and ``forb[c]`` (keys where c is forbidden), and each structure
+    is one key mask. The search is an explicit stack of frames, each holding
+    the state it started from, so undoing an attempt is dropping its copy.
     """
     if any(len(s) == 0 for s in structures):
         return None  # an empty structure is monochromatic under every coloring
-    assign = [0] * num_keys
-    forb = [0] * num_keys
-    s_assigned = [0] * len(structures)
-    s_color = [0] * len(structures)
-    s_dead = [False] * len(structures)
-    by_key = [[] for _ in range(num_keys)]
-    struct_size = [len(s) for s in structures]
-    for sid, keys in enumerate(structures):
+    touching = [[] for _ in range(num_keys)]  # touching[k]: masks of structures holding k
+    for keys in structures:
+        mask = 0
         for k in keys:
-            by_key[k].append(sid)
-    trail: list = []
-    state = (assign, forb, s_assigned, s_color, s_dead)
-    for k, c in prefix:
-        if not _propagate(k, c, r, assign, forb, s_assigned, s_color, s_dead,
-                          by_key, structures, struct_size, trail):
-            return None
-    nodes = 0
+            mask |= 1 << k
+        for k in keys:
+            touching[k].append(mask)
+    colors = range(1, r + 1)
 
-    def dfs(cursor: int) -> Optional[tuple[int, ...]]:
-        nonlocal nodes
-        while cursor < num_keys and assign[cursor]:
-            cursor += 1
-        if cursor == num_keys:
-            return tuple(assign)
-        first_free = not any(assign)
-        colors = (1,) if (break_color_symmetry and first_free) else range(1, r + 1)
-        for c in colors:
-            if (forb[cursor] >> c) & 1:
+    def propagate(assigned: int, col: list, forb: list, key: int, color: int) -> int:
+        """Color key and all that it forces, updating col and forb in place;
+        the new assigned mask, or -1 on conflict."""
+        queue = [(key, color)]
+        while queue:
+            k, c = queue.pop()
+            bit = 1 << k
+            if assigned & bit:
+                if col[c] & bit:
+                    continue
+                return -1
+            if forb[c] & bit:
+                return -1
+            assigned |= bit
+            col[c] |= bit
+            other = assigned ^ col[c]  # keys with a color other than c
+            free = ~assigned
+            for mask in touching[k]:
+                if mask & other:
+                    continue  # two colors: never monochromatic
+                hole = mask & free
+                if not hole:
+                    return -1  # completed monochromatic
+                if hole & (hole - 1) or forb[c] & hole:
+                    continue
+                forb[c] |= hole
+                left = [cc for cc in colors if not forb[cc] & hole]
+                if not left:
+                    return -1
+                if len(left) == 1:
+                    queue.append((hole.bit_length() - 1, left[0]))
+        return assigned
+
+    def coloring(col: list) -> tuple[int, ...]:
+        return tuple(next(c for c in colors if col[c] >> k & 1) for k in range(num_keys))
+
+    assigned = 0
+    col = [0] * (r + 1)
+    forb = [0] * (r + 1)
+    for k, c in prefix:
+        assigned = propagate(assigned, col, forb, k, c)
+        if assigned < 0:
+            return None
+    full = (1 << num_keys) - 1
+    if assigned == full:
+        return coloring(col)
+    # A frame: (the lowest uncolored key, its colors left to try, the state
+    # before it). Only a search that starts from nothing pins its first key.
+    first = colors[:1] if break_color_symmetry and not assigned else colors
+    stack = [((~assigned & (assigned + 1)).bit_length() - 1, iter(first),
+              assigned, col, forb)]
+    nodes = 0
+    while stack:
+        cursor, todo, assigned0, col0, forb0 = stack[-1]
+        for c in todo:
+            if forb0[c] >> cursor & 1:
                 continue
             nodes += 1
             if nodes > node_guard:
-                raise GuardExceeded("counterexample search exceeded its node guard")
+                raise GuardExceeded(f"counterexample search exceeded its node guard "
+                                    f"{node_guard} at depth {cursor}/{num_keys}")
             if not nodes & 0xFFF:
                 _check_deadline()
-            mark = len(trail)
-            if _propagate(cursor, c, r, assign, forb, s_assigned, s_color, s_dead,
-                          by_key, structures, struct_size, trail):
-                got = dfs(cursor + 1)
-                if got is not None:
-                    return got
-            _undo(trail, mark, *state)
-        return None
-
-    return dfs(0)
+            col = col0[:]
+            forb = forb0[:]
+            assigned = propagate(assigned0, col, forb, cursor, c)
+            if assigned >= 0:
+                break
+        else:
+            stack.pop()
+            continue
+        if assigned == full:
+            return coloring(col)
+        stack.append(((~assigned & (assigned + 1)).bit_length() - 1, iter(colors),
+                      assigned, col, forb))
+    return None
 
 
 def _shard_worker(args):
@@ -442,8 +425,8 @@ def _shard_worker(args):
         return ("done", search_counterexample(
             num_keys, structures, r, node_guard, prefix=prefix,
             break_color_symmetry=False))
-    except GuardExceeded:
-        return ("guard", None)
+    except GuardExceeded as exc:
+        return ("guard", str(exc))
 
 
 def _parallel_counterexample(num_keys: int, structures, r: int,
@@ -466,18 +449,19 @@ def _parallel_counterexample(num_keys: int, structures, r: int,
             prefix.pop()
 
     build([], 0)
-    guard_hit = False
+    guard_reasons = {}  # shard index -> why its search stopped
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(_shard_worker,
-                               (num_keys, structures, r, node_guard, pre))
-                   for pre in prefixes}
+        shard_of = {pool.submit(_shard_worker,
+                                (num_keys, structures, r, node_guard, pre)): i
+                    for i, pre in enumerate(prefixes)}
+        futures = set(shard_of)
         found = None
         while futures:
             done, futures = wait(futures, return_when=FIRST_COMPLETED)
             for fut in done:
                 status, result = fut.result()
                 if status == "guard":
-                    guard_hit = True
+                    guard_reasons[shard_of[fut]] = result
                 elif result is not None:
                     found = result
             if found is not None:
@@ -487,8 +471,10 @@ def _parallel_counterexample(num_keys: int, structures, r: int,
     if found is not None:
         # Canonical first-found witness comes from the serial order.
         return search_counterexample(num_keys, structures, r, node_guard)
-    if guard_hit:
-        raise GuardExceeded("a parallel shard exceeded its node guard")
+    if guard_reasons:
+        i = min(guard_reasons)  # every shard ran, so the first in shard order
+        raise GuardExceeded(f"parallel shard {i + 1}/{len(prefixes)} "
+                            f"(prefix {list(prefixes[i])}): {guard_reasons[i]}")
     return None
 
 

@@ -176,3 +176,13 @@ def test_every_witness_subcommand_certificate_verifies(tmp_path):
         from gridlab.fileio import save_certificate
         save_certificate(path, result.certificate)
         assert cli.run(["verify", str(path)]).exit_code == 0, argv
+
+
+def test_unexpected_exception_exits_70_with_traceback(monkeypatch, capsys):
+    def crash(args, argv):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "_cmd_grid", crash)
+    assert cli.main(["grid", "core", "--s", "2"]) == cli.EX_SOFTWARE == 70
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RecursionError" in err

@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 import pytest
 
 from gridlab.cli import run
-from gridlab.errors import GuardExceeded
+from gridlab.errors import ContractViolation, GuardExceeded
 from gridlab.graphs import (
     Graph,
     bipartite_edge_decomposition,
@@ -15,7 +15,8 @@ from gridlab.graphs import (
     find_mono_induced_subgraph,
 )
 from gridlab.grids import grid
-from gridlab.poset import Poset, automorphisms, enumerate_isomorphisms, induced_embeddings
+from gridlab.poset import Poset, automorphisms, enumerate_isomorphisms, induced_embeddings, \
+    make_chain
 from gridlab.ramsey import (
     KIND_COMPARABILITY,
     MapColoring,
@@ -199,3 +200,10 @@ def test_node_guards_fire():
     with pytest.raises(GuardExceeded, match="induced-subgraph"):
         find_mono_induced_subgraph(host, path, ec, guard_nodes=2)
 
+
+@pytest.mark.parametrize("pattern, within", [(make_chain(1), [99]),
+                                             (make_chain(2), [0, 99]),
+                                             (make_chain(1), [-1])])
+def test_within_outside_the_host_is_rejected(pattern, within):
+    with pytest.raises(ContractViolation, match="outside"):
+        enumerate_induced_copy_sets(grid(2, 2), pattern, within=within)
