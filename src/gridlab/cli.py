@@ -5,7 +5,7 @@ witness found against the claim), 2 inconclusive (a guard or time limit
 fired), 64 usage errors, 65 bad input files, 70 internal errors (any other
 exception, traceback on stderr). Output is deterministic for
 fixed inputs and ``--seed``; search subcommands emit digest-carrying
-certificates that ``gridlab verify`` re-runs and compares byte-exactly.
+certificates that ``gridlab verify`` re-runs and compares by SHA-256 digest.
 """
 
 from __future__ import annotations
@@ -297,6 +297,8 @@ def _cmd_ramsey(args, argv) -> RunResult:
                 c = hash_coloring(KIND_COMPARABILITY, args.r, args.seed)
             reduced = reduce_comparability_to_subgrid(c, g)
         else:
+            if args.coloring:
+                raise _UsageError("--coloring needs --from comparability")
             c = hash_coloring(KIND_SUBPOSET, args.r, args.seed)
             reduced = reduce_subposet_to_subgrid(c, g, args.m)
         if args.out:
@@ -481,12 +483,12 @@ def _cmd_graph(args, argv) -> RunResult:
 
 
 def _cmd_verify(args, argv) -> RunResult:
-    from .fileio import canonical_json, load_certificate
-    cert = load_certificate(args.certificate)
+    from .fileio import load_certificate
+    cert = load_certificate(args.certificate)  # checks the digest against the body
     rerun = run(cert["command"])
     if rerun.certificate is None:
         return RunResult(EX_FALSE, "re-run produced no certificate")
-    if canonical_json(rerun.certificate) == canonical_json(cert):
+    if rerun.certificate["digest"] == cert["digest"]:
         return RunResult(EX_TRUE, "certificate reproduced bit-exactly")
     return RunResult(EX_FALSE, "re-run did not reproduce the certificate")
 

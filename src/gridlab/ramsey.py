@@ -21,18 +21,12 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product as iproduct
+from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ChainStepFailure, ContractViolation, GuardExceeded
-from .grids import (
-    GridPoset,
-    Subgrid,
-    core_elements,
-    enumerate_subgrids,
-    grid,
-    subgrids_within,
-)
+from .grids import GridPoset, Subgrid, grid
 from .poset import (
     LinearExtension,
     Poset,
@@ -128,10 +122,18 @@ class FunctionColoring(Coloring):
         return color
 
 
-def _stable_hash(seed: int, tag: str, key) -> int:
-    digest = hashlib.blake2b(
-        repr((seed, tag, key)).encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+def _hash_prefix(seed: int, tag: str):
+    """A BLAKE2b state holding ``(seed, tag, `` -- the shared start of every
+    ``repr((seed, tag, key))`` that ``_stable_hash`` finishes."""
+    return hashlib.blake2b(f"({seed!r}, {tag!r}, ".encode(), digest_size=8)
+
+
+def _stable_hash(prefix, key) -> int:
+    """The 64-bit BLAKE2b digest of ``repr((seed, tag, key))``, given the
+    ``_hash_prefix(seed, tag)`` state, which is copied, not consumed."""
+    h = prefix.copy()
+    h.update(f"{key!r})".encode())
+    return int.from_bytes(h.digest(), "big")
 
 
 def hash_coloring(kind: str, r: int, seed: int, *,
@@ -141,13 +143,15 @@ def hash_coloring(kind: str, r: int, seed: int, *,
     With ``bias`` > 0, each key takes ``bias_color`` with that probability,
     which keeps monochromatic events reachable in soundness sweeps.
     """
+    bias_prefix = _hash_prefix(seed, "bias")
+    color_prefix = _hash_prefix(seed, "color")
 
     def fn(key):
         if bias_color is not None and bias > 0.0:
-            u = _stable_hash(seed, "bias", key) / 2.0 ** 64
+            u = _stable_hash(bias_prefix, key) / 2.0 ** 64
             if u < bias:
                 return bias_color
-        return 1 + _stable_hash(seed, "color", key) % r
+        return 1 + _stable_hash(color_prefix, key) % r
 
     return FunctionColoring(kind, r, fn)
 
@@ -185,34 +189,68 @@ def reduce_comparability_to_subgrid(coloring: Coloring, g: GridPoset) -> MapColo
     """Color each 2^t subgrid by the color of its (least, greatest) pair."""
     if coloring.kind != KIND_COMPARABILITY:
         raise ContractViolation("reduction expects a comparability coloring")
-    assignment = {}
-    for sub in enumerate_subgrids(g.k, g.t, 2):
-        lo, hi = sub.min_max_coords()
-        key = (g.index(lo), g.index(hi))
-        assignment[sub.axes] = coloring.color_of(key)
+    n = g.k
+    if n < 2:
+        raise ContractViolation("need 1 <= m <= n for subgrid enumeration")
+    pairs = list(combinations(range(n), 2))
+    # (axes, least, greatest), one axis at a time: an index is mixed radix n
+    # with the first axis most significant, and the order is the product order.
+    cells = [((), 0, 0)]
+    for _ in range(g.t):
+        cells = [(axes + (pair,), lo * n + pair[0], hi * n + pair[1])
+                 for axes, lo, hi in cells for pair in pairs]
+    color_of = coloring.color_of
+    assignment = {axes: color_of((lo, hi)) for axes, lo, hi in cells}
     return MapColoring(KIND_SUBGRID, coloring.r, assignment)
 
 
 def reduce_subposet_to_subgrid(c1: Coloring, g: GridPoset, m: int) -> MapColoring:
-    """Color each (m^2)-side subgrid of n^2 by c1 evaluated at its core."""
+    """Color each (m^2)-side subgrid of n^2 by c1 evaluated at its core.
+
+    The core of (a, b) is the points (a[m*i+j], b[m*j+i]), so its element
+    indices are row offsets of a plus column values of b. Rows grow with
+    m*i+j and columns stay below n, so the sums come out sorted.
+    """
     if c1.kind != KIND_SUBPOSET:
         raise ContractViolation("reduction expects a subposet-copy coloring")
     if g.t != 2:
         raise ContractViolation("the core reduction lives in two dimensions")
+    if m < 1:
+        raise ContractViolation(f"the core reduction needs m >= 1, got {m}")
+    n = g.k
     side = m * m
+    if side > n:
+        raise ContractViolation("need 1 <= m <= n for subgrid enumeration")
+    axes = list(combinations(range(n), side))
+    places = [(i, j) for i in range(m) for j in range(m)]
+    rows = [[a[m * i + j] * n for i, j in places] for a in axes]
+    cols = [[b[m * j + i] for i, j in places] for b in axes]
+    color_of = c1.color_of
     assignment = {}
-    for sub in enumerate_subgrids(g.k, 2, side):
-        assignment[sub.axes] = c1.color_of(core_elements(sub, g))
+    for a, row in zip(axes, rows):
+        for b, col in zip(axes, cols):
+            assignment[a, b] = color_of(tuple(map(add, row, col)))
     return MapColoring(KIND_SUBGRID, c1.r, assignment)
 
 
 # -- monochromatic-substructure search ---------------------------------------------
 
 
+def _subsets_within(n: int, l: int, m: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """Each l-subset of range(n) mapped to its m-subsets, both in
+    ``combinations`` order. The m-side subgrids inside an l-side subgrid of
+    n^t are the product of the lists of its axis sets."""
+    return {outer: list(combinations(outer, m)) for outer in combinations(range(n), l)}
+
+
 def find_monochromatic_subgrid(n: int, t: int, m: int, l: int, coloring: Coloring,
                                guard_structures: int = STRUCTURE_GUARD
                                ) -> Optional[MonoWitness]:
-    """First l^t subgrid whose m^t subgrids all share a color, else None."""
+    """First l^t subgrid whose m^t subgrids all share a color, else None.
+
+    Subgrids are scanned in ``enumerate_subgrids`` order and the inner ones
+    in ``subgrids_within`` order; each scan stops at its first color mismatch.
+    """
     if coloring.kind != KIND_SUBGRID:
         raise ContractViolation("subgrid search expects a subgrid coloring")
     if not 1 <= m <= l <= n:
@@ -220,18 +258,16 @@ def find_monochromatic_subgrid(n: int, t: int, m: int, l: int, coloring: Colorin
     work = math.comb(n, l) ** t * math.comb(l, m) ** t
     if work > guard_structures:
         raise GuardExceeded(f"subgrid scan of {work} cells exceeds guard")
-    for outer in enumerate_subgrids(n, t, l):
-        color = None
-        mono = True
-        for inner in subgrids_within(outer, m):
-            c = coloring.color_of(inner.axes)
-            if color is None:
-                color = c
-            elif c != color:
-                mono = False
+    table = _subsets_within(n, l, m)
+    color_of = coloring.color_of
+    for outer in iproduct(table, repeat=t):
+        inner = iproduct(*[table[axis] for axis in outer])
+        color = color_of(next(inner))
+        for key in inner:
+            if color_of(key) != color:
                 break
-        if mono:
-            return MonoWitness(KIND_SUBGRID, color, subgrid=outer)
+        else:
+            return MonoWitness(KIND_SUBGRID, color, subgrid=Subgrid(outer))
     return None
 
 
@@ -549,12 +585,12 @@ def verify_grid_ramsey(kind: str, t: int, r: int, m: int, l: int, n: int, *,
         if work > guard_structures:
             return Verdict("inconclusive",
                            reason=f"subgrid structure universe {work} exceeds guard")
-        keys = [sub.axes for sub in enumerate_subgrids(n, t, m)]
+        keys = list(iproduct(combinations(range(n), m), repeat=t))
         key_index = {key: i for i, key in enumerate(keys)}
-        structures = []
-        for outer in enumerate_subgrids(n, t, l):
-            structures.append(tuple(key_index[inner.axes]
-                                    for inner in subgrids_within(outer, m)))
+        table = _subsets_within(n, l, m)
+        structures = [tuple(key_index[inner]
+                            for inner in iproduct(*[table[axis] for axis in outer]))
+                      for outer in iproduct(table, repeat=t)]
         return _run_engine(keys, structures, r, KIND_SUBGRID, node_guard, workers)
     if kind in (KIND_SUBPOSET, "subposet"):
         ambient = grid(n, t)
