@@ -133,9 +133,10 @@ def _build_parser() -> _Parser:
     red.add_argument("--n", type=int, required=True)
     red.add_argument("--t", type=int, default=2)
     red.add_argument("--m", type=int, default=2)
-    red.add_argument("--r", type=int, default=2)
+    red.add_argument("--r", type=int, default=None,
+                     help="color count (default 2); must match a --coloring file's")
     red.add_argument("--seed", type=int, default=0)
-    red.add_argument("--coloring", help="input comparability coloring file")
+    red.add_argument("--coloring", help="input comparability coloring file (no --seed)")
     red.add_argument("--out")
 
     b = sub.add_parser("bdim", help="Boolean dimension")
@@ -290,16 +291,21 @@ def _cmd_ramsey(args, argv) -> RunResult:
     from .fileio import load_coloring
     if args.command == "reduce":
         g = grid(args.n, args.t)
+        r = 2 if args.r is None else args.r
         if args.source == "comparability":
             if args.coloring:
+                if args.seed:
+                    raise _UsageError("--seed does not apply to a --coloring file")
                 c = load_coloring(args.coloring, g)
+                if args.r is not None and args.r != c.r:
+                    raise InvalidInput(f"{args.coloring}: a {c.r}-coloring, not --r {args.r}")
             else:
-                c = hash_coloring(KIND_COMPARABILITY, args.r, args.seed)
+                c = hash_coloring(KIND_COMPARABILITY, r, args.seed)
             reduced = reduce_comparability_to_subgrid(c, g)
         else:
             if args.coloring:
                 raise _UsageError("--coloring needs --from comparability")
-            c = hash_coloring(KIND_SUBPOSET, args.r, args.seed)
+            c = hash_coloring(KIND_SUBPOSET, r, args.seed)
             reduced = reduce_subposet_to_subgrid(c, g, args.m)
         if args.out:
             from .fileio import save_coloring
@@ -309,7 +315,7 @@ def _cmd_ramsey(args, argv) -> RunResult:
                 f"colors used: {colors}")
         cert = _certificate(_strip_out(argv),
                             {"from": args.source, "n": args.n, "t": args.t,
-                             "m": args.m, "r": args.r, "seed": args.seed},
+                             "m": args.m, "r": r, "seed": args.seed},
                             "reduced", _coloring_witness(reduced, g))
         return RunResult(EX_TRUE, text, cert, out_written=bool(args.out))
 

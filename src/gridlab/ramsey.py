@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import multiprocessing
+import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product as iproduct
@@ -47,6 +49,11 @@ NODE_GUARD = 50_000_000
 STRUCTURE_GUARD = 5_000_000
 
 _DEADLINE: Optional[float] = None
+_STOP = None  # in a shard worker: the event set once its result is not needed
+
+
+class _Stopped(Exception):
+    """A shard worker's search was stopped by its caller."""
 
 
 @contextmanager
@@ -68,6 +75,8 @@ def time_limit(seconds: Optional[float]):
 def _check_deadline() -> None:
     if _DEADLINE is not None and time.monotonic() > _DEADLINE:
         raise GuardExceeded("time limit exceeded")
+    if _STOP is not None and _STOP.is_set():
+        raise _Stopped
 
 
 # -- colorings ----------------------------------------------------------------
@@ -365,17 +374,60 @@ def search_counterexample(num_keys: int, structures: Sequence[tuple[int, ...]], 
     colored c) and ``forb[c]`` (keys where c is forbidden), and each structure
     is one key mask. The search is an explicit stack of frames, each holding
     the state it started from, so undoing an attempt is dropping its copy.
+
+    Coloring k with c can complete a structure of three or more keys, or
+    leave it one hole, only if another of its keys already has color c. So
+    the structures of 3 or 4 keys are also indexed by key pair, and the
+    propagation walks only those shared with the c-colored partners of k,
+    each through its lowest such partner; structures of other sizes are
+    always scanned. When k has more c-colored partners than its structure
+    counts make the walk worth, it scans all structures holding k instead.
+    Either way propagation reaches the same fixpoint, so nodes do not change.
     """
+    return _search(num_keys, structures, r, node_guard, prefix, break_color_symmetry)[0]
+
+
+def _search(num_keys, structures, r, node_guard, prefix, break_color_symmetry):
+    """``search_counterexample``'s coloring, or None, and its node count."""
     if any(len(s) == 0 for s in structures):
-        return None  # an empty structure is monochromatic under every coloring
+        return None, 0  # an empty structure is monochromatic under every coloring
     touching = [[] for _ in range(num_keys)]  # touching[k]: masks of structures holding k
+    # pairs[k][j] is pairs[j][k]: the masks of the 3- and 4-key structures holding k and j.
+    pairs = [{} for _ in range(num_keys)]
+    nbr = [0] * num_keys  # nbr[k]: the keys sharing a 3- or 4-key structure with k
     for keys in structures:
         mask = 0
         for k in keys:
             mask |= 1 << k
+        keys = {*keys}
+        indexed = 3 <= len(keys) <= 4
         for k in keys:
             touching[k].append(mask)
+            if indexed:
+                nbr[k] |= mask
+                pk = pairs[k]
+                for j in keys:
+                    if j > k:
+                        if j in pk:
+                            pk[j].append(mask)
+                        else:
+                            pk[j] = pairs[j][k] = [mask]
+    # always[k]: the masks the pair walk skips. Walking one partner costs
+    # about its share of k's pair entries plus a fixed step; past limit[k]
+    # partners the full scan of touching[k] is cheaper.
+    always = []
+    limit = []
+    for k, masks in enumerate(touching):
+        if not nbr[k]:
+            always.append(masks)
+            limit.append(0)
+            continue
+        nbr[k] ^= 1 << k
+        always.append([mask for mask in masks if not 3 <= mask.bit_count() <= 4])
+        per_partner = sum(map(len, pairs[k].values())) / nbr[k].bit_count()
+        limit.append((len(masks) - len(always[k])) / (per_partner + 1.5))
     colors = range(1, r + 1)
+    others = [()] + [tuple(cc for cc in colors if cc != c) for c in colors]
 
     def propagate(assigned: int, col: list, forb: list, key: int, color: int) -> int:
         """Color key and all that it forces, updating col and forb in place;
@@ -384,30 +436,50 @@ def search_counterexample(num_keys: int, structures: Sequence[tuple[int, ...]], 
         while queue:
             k, c = queue.pop()
             bit = 1 << k
+            colc = col[c]
             if assigned & bit:
-                if col[c] & bit:
+                if colc & bit:
                     continue
                 return -1
-            if forb[c] & bit:
+            forbc = forb[c]
+            if forbc & bit:
                 return -1
+            other = assigned ^ colc  # keys with a color other than c
             assigned |= bit
-            col[c] |= bit
-            other = assigned ^ col[c]  # keys with a color other than c
             free = ~assigned
-            for mask in touching[k]:
-                if mask & other:
-                    continue  # two colors: never monochromatic
-                hole = mask & free
-                if not hole:
-                    return -1  # completed monochromatic
-                if hole & (hole - 1) or forb[c] & hole:
-                    continue
-                forb[c] |= hole
-                left = [cc for cc in colors if not forb[cc] & hole]
-                if not left:
-                    return -1
-                if len(left) == 1:
-                    queue.append((hole.bit_length() - 1, left[0]))
+            rest = nbr[k] & colc  # the c-colored partners still to walk
+            if rest.bit_count() > limit[k]:
+                scan, rest = touching[k], 0
+            else:
+                scan = always[k]
+            skip = other
+            pk = pairs[k]
+            while True:
+                for mask in scan:
+                    if mask & skip:
+                        continue  # two colors, or reached through a lower partner
+                    hole = mask & free
+                    if not hole:
+                        return -1  # completed monochromatic
+                    if hole & (hole - 1) or forbc & hole:
+                        continue
+                    forbc |= hole
+                    left = 0
+                    for cc in others[c]:
+                        if not forb[cc] & hole:
+                            left = -1 if left else cc
+                    if not left:
+                        return -1
+                    if left > 0:
+                        queue.append((hole.bit_length() - 1, left))
+                if not rest:
+                    break
+                low = rest & -rest
+                rest ^= low
+                skip = other | colc & (low - 1)
+                scan = pk[low.bit_length() - 1]
+            col[c] = colc | bit
+            forb[c] = forbc
         return assigned
 
     def coloring(col: list) -> tuple[int, ...]:
@@ -419,20 +491,20 @@ def search_counterexample(num_keys: int, structures: Sequence[tuple[int, ...]], 
     for k, c in prefix:
         assigned = propagate(assigned, col, forb, k, c)
         if assigned < 0:
-            return None
+            return None, 0
     full = (1 << num_keys) - 1
     if assigned == full:
-        return coloring(col)
-    # A frame: (the lowest uncolored key, its colors left to try, the state
-    # before it). Only a search that starts from nothing pins its first key.
+        return coloring(col), 0
+    # A frame: (the lowest uncolored key, its bit, its colors left to try, the
+    # state before it). Only a search that starts from nothing pins its first key.
     first = colors[:1] if break_color_symmetry and not assigned else colors
-    stack = [((~assigned & (assigned + 1)).bit_length() - 1, iter(first),
-              assigned, col, forb)]
+    low = ~assigned & (assigned + 1)
+    stack = [(low.bit_length() - 1, low, iter(first), assigned, col, forb)]
     nodes = 0
     while stack:
-        cursor, todo, assigned0, col0, forb0 = stack[-1]
+        cursor, cbit, todo, assigned0, col0, forb0 = stack[-1]
         for c in todo:
-            if forb0[c] >> cursor & 1:
+            if forb0[c] & cbit:
                 continue
             nodes += 1
             if nodes > node_guard:
@@ -449,26 +521,45 @@ def search_counterexample(num_keys: int, structures: Sequence[tuple[int, ...]], 
             stack.pop()
             continue
         if assigned == full:
-            return coloring(col)
-        stack.append(((~assigned & (assigned + 1)).bit_length() - 1, iter(colors),
-                      assigned, col, forb))
-    return None
+            return coloring(col), nodes
+        low = ~assigned & (assigned + 1)
+        stack.append((low.bit_length() - 1, low, iter(colors), assigned, col, forb))
+    return None, nodes
+
+
+def _init_shard(deadline: Optional[float], stop) -> None:
+    """Pool initializer: the caller's deadline and the shared stop event."""
+    global _DEADLINE, _STOP
+    _DEADLINE, _STOP = deadline, stop
 
 
 def _shard_worker(args):
+    """One shard's (status, result, nodes): ("done", coloring or None, nodes),
+    ("guard", reason, 0) or ("stopped", None, 0)."""
     num_keys, structures, r, node_guard, prefix = args
     try:
-        return ("done", search_counterexample(
-            num_keys, structures, r, node_guard, prefix=prefix,
-            break_color_symmetry=False))
+        _check_deadline()
+        colors, nodes = _search(num_keys, structures, r, node_guard, prefix, False)
+        return ("done", colors, nodes)
     except GuardExceeded as exc:
-        return ("guard", str(exc))
+        return ("guard", str(exc), 0)
+    except _Stopped:
+        return ("stopped", None, 0)
 
 
 def _parallel_counterexample(num_keys: int, structures, r: int,
                              node_guard: int, workers: int):
-    """Shard the first branching levels over processes; any hit is then
-    canonicalized by re-running the deterministic serial search."""
+    """Shard the first branching levels over processes; the serial search's
+    result, or the reason of the first guarded shard in shard order.
+
+    Shard i pins keys 0..depth-1 to its prefix, and the shards split the
+    serial search tree in its own order, so the first shard holding a
+    witness holds the serial one. Results are read in shard order; the
+    first hit is returned, and the later shards stopped, when no earlier
+    shard hit its guard and the serial search provably stays within
+    ``node_guard`` to reach it: the shards' nodes plus one node for each
+    distinct prefix step before it. Otherwise the serial search is re-run.
+    """
     depth = 1
     while r ** depth < workers * 2 and depth < num_keys:
         depth += 1
@@ -486,26 +577,33 @@ def _parallel_counterexample(num_keys: int, structures, r: int,
 
     build([], 0)
     guard_reasons = {}  # shard index -> why its search stopped
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        shard_of = {pool.submit(_shard_worker,
-                                (num_keys, structures, r, node_guard, pre)): i
-                    for i, pre in enumerate(prefixes)}
-        futures = set(shard_of)
-        found = None
-        while futures:
-            done, futures = wait(futures, return_when=FIRST_COMPLETED)
-            for fut in done:
-                status, result = fut.result()
+    nodes = 0  # the shards' nodes so far
+    steps = set()  # the prefix steps the serial search can take up to here
+    rerun = False
+    context = multiprocessing.get_context()
+    stop = context.Event()
+    size = min(workers, len(prefixes), os.cpu_count() or 1)
+    with ProcessPoolExecutor(size, mp_context=context, initializer=_init_shard,
+                             initargs=(_DEADLINE, stop)) as pool:
+        futures = [pool.submit(_shard_worker, (num_keys, structures, r, node_guard, pre))
+                   for pre in prefixes]
+        try:
+            for i, fut in enumerate(futures):
+                status, result, count = fut.result()
+                nodes += count
+                steps.update(prefixes[i][:d] for d in range(1, len(prefixes[i]) + 1))
                 if status == "guard":
-                    guard_reasons[shard_of[fut]] = result
+                    guard_reasons[i] = result
                 elif result is not None:
-                    found = result
-            if found is not None:
-                for fut in futures:
-                    fut.cancel()
-                break
-    if found is not None:
-        # Canonical first-found witness comes from the serial order.
+                    if guard_reasons or nodes + len(steps) > node_guard:
+                        rerun = True
+                        break
+                    return result
+        finally:
+            stop.set()
+            for fut in futures:
+                fut.cancel()
+    if rerun:
         return search_counterexample(num_keys, structures, r, node_guard)
     if guard_reasons:
         i = min(guard_reasons)  # every shard ran, so the first in shard order

@@ -2,15 +2,21 @@
 pinned certificates, serial/parallel agreement, guard reasons and deep
 instances."""
 
+import os
 import re
+import subprocess
 import sys
+import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridlab import ramsey
 from gridlab.cli import run
+from gridlab.errors import GuardExceeded
 from gridlab.grids import grid
 from gridlab.ramsey import (
     KIND_SUBGRID,
@@ -134,3 +140,128 @@ def test_search_deeper_than_the_recursion_limit():
 def test_no_colors_leave_no_coloring_of_a_key():
     assert search_counterexample(0, [], 0) == ()
     assert search_counterexample(2, [], 0) is None
+
+
+def _cells6(guard=10 ** 6, workers=1):
+    return verify_grid_ramsey(KIND_SUBGRID, 2, 3, 1, 2, 6, node_guard=guard, workers=workers)
+
+
+def _subposet6(workers):
+    return verify_grid_ramsey(KIND_SUBPOSET, 2, 2, 1, 2, 6, workers=workers)
+
+
+def test_serial_and_parallel_agree_on_cells_and_subposets():
+    serial, parallel = _cells6(), _cells6(workers=2)
+    assert serial.status == parallel.status == "false"
+    assert sorted(serial.counterexample.items()) == sorted(parallel.counterexample.items())
+    assert _subposet6(1).status == _subposet6(2).status == "true"
+
+
+# Shard 0 of chain-3 r=3 n=11 holds the serial witness after 10,516 of the
+# serial search's 10,518 nodes: one guard lower, the parallel search must
+# not return it, but re-run the serial search and stop at its guard.
+@pytest.mark.parametrize("verify, nodes", [
+    (lambda g: verify_comparability_ramsey(grid(3, 1), grid(11, 1), 3, node_guard=g,
+                                           workers=2), 10518),
+    (lambda g: _cells6(g, workers=2), 8099),
+])
+def test_parallel_verdicts_at_the_guard_edges(verify, nodes):
+    assert verify(nodes).status == "false"
+    below = verify(nodes - 1)
+    assert below.status == "inconclusive"
+    assert below.reason.startswith(f"counterexample search exceeded its node guard {nodes - 1}")
+
+
+# (r, structure size) -> structures per key near the point where random
+# instances stop being colorable, so that searches backtrack past small guards.
+_DENSITY = {(2, 4): (5.0, 6.5), (3, 2): (2.3, 2.6), (3, 3): (8.0, 11.0)}
+
+
+@st.composite
+def _sharded_instances(draw):
+    rnd = draw(st.randoms(use_true_random=False))
+    num_keys = rnd.randint(12, 22)
+    r, size = rnd.choice(sorted(_DENSITY))
+    lo, hi = _DENSITY[r, size]
+    structures = [rnd.sample(range(num_keys), size)
+                  for _ in range(int(rnd.uniform(lo, hi) * num_keys))]
+    structures += [rnd.sample(range(num_keys), rnd.randint(2, 4))
+                   for _ in range(rnd.randint(0, 3))]
+    guard = rnd.choice([50, 500, 10 ** 6])
+    return num_keys, [tuple(sorted(s)) for s in structures], r, guard
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except GuardExceeded:
+        return "guard"
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_sharded_instances())
+def test_parallel_search_matches_the_serial_search(instance):
+    num_keys, structures, r, guard = instance
+    serial = _outcome(search_counterexample, num_keys, structures, r, guard)
+    parallel = _outcome(ramsey._parallel_counterexample, num_keys, structures, r, guard, 2)
+    if serial == "guard":
+        # The shards' budget is per shard, so they may finish where the
+        # serial search runs out; they never find a different witness.
+        assert parallel in ("guard", None)
+    else:
+        assert parallel == serial
+
+
+class _RefusingPool:
+    """Stands in for the process pool: records its size and starts nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers=None, **kwargs):
+        self.sizes.append(max_workers)
+        raise RuntimeError("no pool in this test")
+
+
+@pytest.mark.parametrize("num_keys, workers, cpus, size", [
+    (2, 4, 64, 2),     # two shards: key 0 pinned, key 1 in two colors
+    (30, 64, 3, 3),    # capped by the CPU count
+    (30, 64, None, 1),  # an unknown CPU count counts as one
+])
+def test_the_pool_is_never_larger_than_the_shards_or_cpus(monkeypatch, num_keys, workers,
+                                                          cpus, size):
+    monkeypatch.setattr(ramsey, "ProcessPoolExecutor", _RefusingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    _RefusingPool.sizes.clear()
+    with pytest.raises(RuntimeError, match="no pool"):
+        ramsey._parallel_counterexample(num_keys, [(0, 1)], 2, 1000, workers)
+    assert _RefusingPool.sizes == [size]
+
+
+_FORKSERVER_TIME_LIMIT = """
+import multiprocessing, time
+from gridlab.grids import grid
+from gridlab.ramsey import time_limit, verify_comparability_ramsey
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("forkserver")
+    start = time.monotonic()
+    with time_limit(0.3):
+        v = verify_comparability_ramsey(grid(3, 1), grid(16, 1), 3, node_guard=300000,
+                                        workers=2)
+    print(v.status, time.monotonic() - start, v.reason, sep="|")
+"""
+
+
+def test_the_time_limit_reaches_forkserver_workers():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.monotonic()
+    out = subprocess.run([sys.executable, "-c", _FORKSERVER_TIME_LIMIT], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    status, seconds, reason = out.stdout.strip().split("|")
+    # Without the deadline, the shards run on to their 300,000-node guard.
+    assert status == "inconclusive"
+    assert reason.endswith("time limit exceeded"), reason
+    assert float(seconds) < 3.0 and time.monotonic() - start < 30

@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -257,6 +258,24 @@ def test_reduce_from_coloring_file_is_pinned_and_verifies(tmp_path, monkeypatch)
     assert result.certificate["digest"][:16] == "e6b479d446641973"
     payload = json.loads((tmp_path / "reduced.json").read_text())
     assert payload["coloring_kind"] == KIND_SUBGRID and len(payload["assignment"]) == 100
+
+
+def test_reduce_from_coloring_file_checks_r_and_seed(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _write_coloring_file("coloring.json")  # a 3-coloring
+    argv = _REDUCE + ["comparability", "--n", "5", "--coloring", "coloring.json"]
+    result = cli.run(argv + ["--r", "2"])
+    assert (result.exit_code, result.certificate) == (65, None)
+    assert "3-coloring, not --r 2" in result.output
+    result = cli.run(argv + ["--seed", "4"])
+    assert (result.exit_code, result.certificate) == (64, None)
+    assert "--seed" in result.output
+    result = cli.run(argv + ["--r", "3", "--seed", "0"])
+    assert result.exit_code == 0
+    assert (result.certificate["parameters"]["r"], result.certificate["parameters"]["seed"]) \
+        == (3, 0)
+    Path("reduce.cert.json").write_text(json.dumps(result.certificate))
+    assert cli.run(["verify", "reduce.cert.json"]).exit_code == 0
 
 
 def test_verify_round_trip_of_a_reduce_certificate(tmp_path):
