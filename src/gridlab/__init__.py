@@ -52,6 +52,7 @@ from .grids import (
 )
 from .ramsey import (
     KIND_COMPARABILITY,
+    KIND_PARTITION,
     KIND_SUBGRID,
     KIND_SUBPOSET,
     BootstrapStep,
@@ -59,6 +60,7 @@ from .ramsey import (
     FunctionColoring,
     MapColoring,
     MonoWitness,
+    ThresholdResult,
     Verdict,
     boolean_lattice_embed,
     comparability_keys,
@@ -72,6 +74,9 @@ from .ramsey import (
     realizer_type_probe,
     reduce_comparability_to_subgrid,
     reduce_subposet_to_subgrid,
+    run_engine,
+    scan_threshold,
+    verify_at,
     verify_bootstrap_chain,
     verify_comparability_ramsey,
     verify_grid_ramsey,

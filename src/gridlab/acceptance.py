@@ -228,10 +228,10 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     res = CriterionResult(5, "exact thresholds: pigeonhole 3, chain-triangle 6, "
                              "grid cells 5", True)
     pigeon = min_ramsey_n(1, 2, 1, 2, KIND_SUBGRID, 6)
-    _check(res, pigeon.n_found == 3, f"pigeonhole threshold {pigeon.n_found} != 3")
+    _check(res, pigeon.found == 3, f"pigeonhole threshold {pigeon.found} != 3")
 
     chain3 = min_ramsey_n(1, 2, 2, 3, KIND_COMPARABILITY, 7)
-    _check(res, chain3.n_found == 6, f"chain-3 threshold {chain3.n_found} != 6")
+    _check(res, chain3.found == 6, f"chain-3 threshold {chain3.found} != 6")
     cex5 = chain3.verdicts.get(5)
     _check(res, cex5 is not None and cex5.counterexample is not None,
            "no archived counterexample at n=5")
@@ -241,7 +241,7 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
         _check(res, escaped is None, "archived n=5 coloring is not witness-free")
 
     cells = min_ramsey_n(2, 2, 1, 2, KIND_SUBGRID, 6)
-    _check(res, cells.n_found == 5, f"grid-cell threshold {cells.n_found} != 5")
+    _check(res, cells.found == 5, f"grid-cell threshold {cells.found} != 5")
     archived = cells.counterexamples()
     _check(res, sorted(archived) == [2, 3, 4],
            f"archived counterexamples at {sorted(archived)}, expected [2, 3, 4]")
@@ -474,12 +474,12 @@ def criterion_8(seed: int = DEFAULT_SEED, instances: int = 50) -> CriterionResul
         embedded += 1
     for s_eq_t in (2, 3):
         got = partition_ramsey_search(s_eq_t, s_eq_t, 3, s_eq_t + 2)
-        _check(res, got.k_found == s_eq_t, f"s=t={s_eq_t} should give k0={s_eq_t}")
+        _check(res, got.found == s_eq_t, f"s=t={s_eq_t} should give k0={s_eq_t}")
     roth = partition_ramsey_search(2, 3, 2, 7)
-    _check(res, roth.k_found == 6, f"(s=2,t=3,r=2) gave {roth.k_found}, expected 6")
+    _check(res, roth.found == 6, f"(s=2,t=3,r=2) gave {roth.found}, expected 6")
     for k, cex in roth.counterexamples().items():
         for pi in partitions_of_range(k, 3):
-            colors = {cex.color_of(c) for c in coarsenings(pi, 2)}
+            colors = {cex.color_of(c.parts) for c in coarsenings(pi, 2)}
             _check(res, len(colors) > 1,
                    f"archived k={k} coloring has a monochromatic 3-partition")
     res.details.append(f"{instances} cycle certificates, {embedded} embeddings, "

@@ -3,9 +3,12 @@
 Exit codes: 0 verdict-true/success, 1 verdict-false (counterexample or
 witness found against the claim), 2 inconclusive (a guard or time limit
 fired), 64 usage errors, 65 bad input files, 70 internal errors (any other
-exception, traceback on stderr). Output is deterministic for
-fixed inputs and ``--seed``; search subcommands emit digest-carrying
-certificates that ``gridlab verify`` re-runs and compares by SHA-256 digest.
+exception, traceback on stderr). Output is deterministic for fixed inputs
+(``--seed`` of ``ramsey reduce`` and ``acceptance`` included) and does not
+depend on ``--workers``, which shards the counterexample search of ``ramsey
+verify/search`` and ``extension partition-ramsey``. Search subcommands emit
+digest-carrying certificates that ``gridlab verify`` re-runs and compares by
+SHA-256 digest.
 """
 
 from __future__ import annotations
@@ -37,15 +40,14 @@ from .grids import Subgrid, casual_embeddings, core, grid, unique_realizer_check
 from .poset import LinearExtension, is_isomorphic, linear_extensions
 from .ramsey import (
     KIND_COMPARABILITY,
-    KIND_SUBGRID,
     KIND_SUBPOSET,
+    NODE_GUARD,
     hash_coloring,
     min_ramsey_n,
     reduce_comparability_to_subgrid,
     reduce_subposet_to_subgrid,
     time_limit,
-    verify_comparability_ramsey,
-    verify_grid_ramsey,
+    verify_at,
 )
 
 EX_TRUE = 0
@@ -54,6 +56,7 @@ EX_INCONCLUSIVE = 2
 EX_USAGE = 64
 EX_DATAERR = 65
 EX_SOFTWARE = 70
+_THRESHOLD_EXIT = {"found": EX_TRUE, "not-found": EX_FALSE, "inconclusive": EX_INCONCLUSIVE}
 
 
 class _UsageError(Exception):
@@ -116,11 +119,9 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--l", type=int)
         cmd.add_argument("--p-chain", type=int, dest="p_chain",
                          help="pattern chain side for the comparability kind")
-        cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--guard", "--guard-colorings", type=int,
-                         dest="guard_colorings", default=50_000_000,
+                         dest="guard_colorings", default=NODE_GUARD,
                          help="node budget for the coloring search")
-        cmd.add_argument("--guard-elements", type=int, default=4096)
         cmd.add_argument("--time-limit", type=float, default=None)
         cmd.add_argument("--out")
         if name == "verify":
@@ -164,7 +165,7 @@ def _build_parser() -> _Parser:
     ep.add_argument("--t", type=int, required=True)
     ep.add_argument("--r", type=int, required=True)
     ep.add_argument("--k-max", type=int, required=True, dest="k_max")
-    ep.add_argument("--guard", type=int, default=50_000_000)
+    ep.add_argument("--guard", type=int, default=NODE_GUARD)
     ep.add_argument("--out")
     ed = esub.add_parser("demo")
     ed.add_argument("--poset", required=True)
@@ -283,10 +284,6 @@ def _cmd_grid(args, argv) -> RunResult:
     return RunResult(EX_TRUE if verdict else EX_FALSE, "\n".join(lines), cert)
 
 
-def _grid_kind(kind: str) -> str:
-    return {"subgrid": KIND_SUBGRID, "subposet": KIND_SUBPOSET}[kind]
-
-
 def _cmd_ramsey(args, argv) -> RunResult:
     from .fileio import load_coloring
     if args.command == "reduce":
@@ -299,6 +296,7 @@ def _cmd_ramsey(args, argv) -> RunResult:
                 c = load_coloring(args.coloring, g)
                 if args.r is not None and args.r != c.r:
                     raise InvalidInput(f"{args.coloring}: a {c.r}-coloring, not --r {args.r}")
+                r = c.r
             else:
                 c = hash_coloring(KIND_COMPARABILITY, r, args.seed)
             reduced = reduce_comparability_to_subgrid(c, g)
@@ -319,70 +317,42 @@ def _cmd_ramsey(args, argv) -> RunResult:
                             "reduced", _coloring_witness(reduced, g))
         return RunResult(EX_TRUE, text, cert, out_written=bool(args.out))
 
-    with time_limit(args.time_limit):
-        if args.command == "verify":
-            params = {"kind": args.kind, "t": args.t, "r": args.r, "m": args.m,
-                      "l": args.l, "p_chain": args.p_chain, "n": args.n,
-                      "seed": args.seed}
-            if args.kind == "comparability":
-                side = args.p_chain or args.l
-                if side is None:
-                    raise _UsageError("comparability verification needs --p-chain or --l")
-                pattern = grid(side, args.t, guard_elements=args.guard_elements)
-                ambient = grid(args.n, args.t, guard_elements=args.guard_elements)
-                verdict = verify_comparability_ramsey(
-                    pattern, ambient, args.r, node_guard=args.guard_colorings,
-                    workers=args.workers)
-                witness_grid = ambient
-            else:
-                if args.m is None or args.l is None:
-                    raise _UsageError("grid kinds need --m and --l")
-                verdict = verify_grid_ramsey(
-                    _grid_kind(args.kind), args.t, args.r, args.m, args.l, args.n,
-                    node_guard=args.guard_colorings, workers=args.workers)
-                witness_grid = grid(args.n, args.t)
-            witness = None
-            if verdict.counterexample is not None:
-                witness = _coloring_witness(verdict.counterexample, witness_grid)
-            cert = _certificate(_strip_out(argv), params, verdict.status, witness)
-            lines = [f"verdict: {verdict.status}"]
-            if verdict.reason:
-                lines.append(f"reason: {verdict.reason}")
-            code = {"true": EX_TRUE, "false": EX_FALSE,
-                    "inconclusive": EX_INCONCLUSIVE}[verdict.status]
-            return RunResult(code, "\n".join(lines), cert)
+    # verify and search: the kind's pattern sizes (m, l)
+    m, l = args.m, args.l
+    if args.kind == "comparability":
+        l = args.p_chain or l
+        if l is None:
+            raise _UsageError("the comparability kind needs --p-chain or --l")
+    elif m is None or l is None:
+        raise _UsageError("grid kinds need --m and --l")
+    size = {"n": args.n} if args.command == "verify" else {"n_max": args.n_max}
+    params = {"kind": args.kind, "t": args.t, "r": args.r, "m": args.m,
+              "l": args.l, "p_chain": args.p_chain, **size}
+    guards = {"node_guard": args.guard_colorings, "workers": args.workers}
+    if args.command == "verify":
+        with time_limit(args.time_limit):
+            verdict = verify_at(args.kind, args.t, args.r, m, l, args.n, **guards)
+        witness = None
+        if verdict.counterexample is not None:
+            witness = _coloring_witness(verdict.counterexample, grid(args.n, args.t))
+        cert = _certificate(_strip_out(argv), params, verdict.status, witness)
+        lines = [f"verdict: {verdict.status}"]
+        if verdict.reason:
+            lines.append(f"reason: {verdict.reason}")
+        code = {"true": EX_TRUE, "false": EX_FALSE,
+                "inconclusive": EX_INCONCLUSIVE}[verdict.status]
+        return RunResult(code, "\n".join(lines), cert)
 
-        # search: minimal n
-        params = {"kind": args.kind, "t": args.t, "r": args.r, "m": args.m,
-                  "l": args.l, "p_chain": args.p_chain, "n_max": args.n_max,
-                  "seed": args.seed}
-        if args.kind == "comparability":
-            side = args.p_chain or args.l
-            if side is None:
-                raise _UsageError("comparability search needs --p-chain or --l")
-            result = min_ramsey_n(args.t, args.r, args.m or 2, side,
-                                  KIND_COMPARABILITY, args.n_max,
-                                  node_guard=args.guard_colorings,
-                                  workers=args.workers)
-        else:
-            if args.m is None or args.l is None:
-                raise _UsageError("grid kinds need --m and --l")
-            result = min_ramsey_n(args.t, args.r, args.m, args.l,
-                                  _grid_kind(args.kind), args.n_max,
-                                  node_guard=args.guard_colorings,
-                                  workers=args.workers)
-        witness = {"n_found": result.n_found,
-                   "statuses": {str(n): v.status for n, v in result.verdicts.items()}}
-        cex = {}
-        for n, coloring in result.counterexamples().items():
-            cex[str(n)] = _coloring_witness(coloring, grid(n, args.t))
-        witness["counterexamples"] = cex
-        cert = _certificate(_strip_out(argv), params, result.status, witness)
-        text = (f"minimal n: {result.n_found}" if result.n_found is not None
-                else f"no n <= {args.n_max} ({result.status})")
-        code = {"found": EX_TRUE, "not-found": EX_FALSE,
-                "inconclusive": EX_INCONCLUSIVE}[result.status]
-        return RunResult(code, text, cert)
+    with time_limit(args.time_limit):
+        result = min_ramsey_n(args.t, args.r, m, l, args.kind, args.n_max, **guards)
+    witness = {"n_found": result.found,
+               "statuses": {str(n): v.status for n, v in result.verdicts.items()},
+               "counterexamples": {str(n): _coloring_witness(coloring, grid(n, args.t))
+                                   for n, coloring in result.counterexamples().items()}}
+    cert = _certificate(_strip_out(argv), params, result.status, witness)
+    text = (f"minimal n: {result.found}" if result.found is not None
+            else f"no n <= {args.n_max} ({result.status})")
+    return RunResult(_THRESHOLD_EXIT[result.status], text, cert)
 
 
 def _cmd_bdim(args, argv) -> RunResult:
@@ -428,8 +398,8 @@ def _cmd_extension(args, argv) -> RunResult:
         return RunResult(EX_TRUE, "\n".join(lines))
     if args.command == "partition-ramsey":
         result = partition_ramsey_search(args.s, args.t, args.r, args.k_max,
-                                         node_guard=args.guard)
-        witness = {"k_found": result.k_found,
+                                         node_guard=args.guard, workers=args.workers)
+        witness = {"k_found": result.found,
                    "statuses": {str(k): v.status for k, v in result.verdicts.items()},
                    "counterexamples": {
                        str(k): sorted([list(map(list, parts)), color]
@@ -440,11 +410,9 @@ def _cmd_extension(args, argv) -> RunResult:
                             {"s": args.s, "t": args.t, "r": args.r,
                              "k_max": args.k_max},
                             result.status, witness)
-        text = (f"minimal k: {result.k_found}" if result.k_found is not None
+        text = (f"minimal k: {result.found}" if result.found is not None
                 else f"no k <= {args.k_max} ({result.status})")
-        code = {"found": EX_TRUE, "not-found": EX_FALSE,
-                "inconclusive": EX_INCONCLUSIVE}[result.status]
-        return RunResult(code, text, cert)
+        return RunResult(_THRESHOLD_EXIT[result.status], text, cert)
     x = load_poset(args.poset)
     report = nonuniform_counterexample_demo(x, _parse_order(args.m1),
                                             _parse_order(args.m2))

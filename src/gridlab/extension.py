@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import ContractViolation, GuardExceeded
+from .errors import ContractViolation
 from .grids import GridPoset, Subgrid, enumerate_subgrids, grid
 from .poset import (
     LinearExtension,
@@ -24,7 +24,15 @@ from .poset import (
     is_linear_extension,
     is_realizer,
 )
-from .ramsey import Verdict, induced_copies, search_counterexample
+from .ramsey import (
+    KIND_PARTITION,
+    NODE_GUARD,
+    ThresholdResult,
+    Verdict,
+    induced_copies,
+    run_engine,
+    scan_threshold,
+)
 
 PARTITION_KEY_GUARD = 200_000
 
@@ -400,75 +408,31 @@ def build_conforming_embedding(x: Poset, m: LinearExtension, k: int, psi: Partit
 # -- the Rothschild partition search ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionRamseyResult:
-    s: int
-    t: int
-    r: int
-    k_found: Optional[int]
-    status: str  # "found" | "not-found" | "inconclusive"
-    verdicts: dict
-
-    def counterexamples(self) -> dict:
-        return {k: v.counterexample for k, v in self.verdicts.items()
-                if v.status == "false"}
-
-
-def _verify_partition_level(s: int, t: int, r: int, k: int,
-                            node_guard: int, key_guard: int) -> Verdict:
-    keys = list(partitions_of_range(k, s))
+def _verify_partition_level(s: int, t: int, r: int, k: int, node_guard: int,
+                            key_guard: int, workers: int) -> Verdict:
+    keys = [pi.parts for pi in partitions_of_range(k, s)]
     if len(keys) > key_guard:
         return Verdict("inconclusive",
                        reason=f"{len(keys)} s-partitions exceed the key guard")
-    key_index = {pi.parts: i for i, pi in enumerate(keys)}
-    structures = []
-    for pi in partitions_of_range(k, t):
-        structures.append(tuple(key_index[c.parts] for c in coarsenings(pi, s)))
-    try:
-        colors = search_counterexample(len(keys), structures, r, node_guard)
-    except GuardExceeded as exc:
-        return Verdict("inconclusive", reason=str(exc))
-    if colors is None:
-        return Verdict("true")
-    assignment = {keys[i].parts: colors[i] for i in range(len(keys))}
-    return Verdict("false", counterexample=_PartitionColoring(r, assignment))
-
-
-class _PartitionColoring:
-    """Counterexample coloring of s-partitions; keys are canonical parts."""
-
-    def __init__(self, r: int, assignment: dict):
-        self.r = r
-        self.assignment = dict(assignment)
-
-    def color_of(self, key) -> int:
-        if isinstance(key, Partition):
-            key = key.canonical().parts
-        return self.assignment[key]
-
-    def items(self):
-        return sorted(self.assignment.items())
+    key_index = {parts: i for i, parts in enumerate(keys)}
+    structures = [tuple(key_index[c.parts] for c in coarsenings(pi, s))
+                  for pi in partitions_of_range(k, t)]
+    return run_engine(keys, structures, r, KIND_PARTITION, node_guard, workers)
 
 
 def partition_ramsey_search(s: int, t: int, r: int, k_max: int,
-                            node_guard: int = 50_000_000,
-                            key_guard: int = PARTITION_KEY_GUARD
-                            ) -> PartitionRamseyResult:
-    """Least k <= k_max such that every r-coloring of the s-partitions of [k]
-    has a t-partition whose s-coarsenings all share a color."""
+                            node_guard: int = NODE_GUARD,
+                            key_guard: int = PARTITION_KEY_GUARD,
+                            workers: int = 1) -> ThresholdResult:
+    """Least k in t..k_max such that every r-coloring of the s-partitions of
+    [k] has a t-partition whose s-coarsenings all share a color. Colorings
+    are keyed by the canonical ``Partition.parts`` tuples."""
     if s > t:
         raise ContractViolation("coarsening to s parts needs s <= t")
     if s < 1 or r < 1:
         raise ContractViolation("s and r must be positive")
-    verdicts: dict[int, Verdict] = {}
-    for k in range(t, k_max + 1):
-        v = _verify_partition_level(s, t, r, k, node_guard, key_guard)
-        verdicts[k] = v
-        if v.status == "inconclusive":
-            return PartitionRamseyResult(s, t, r, None, "inconclusive", verdicts)
-        if v.status == "true":
-            return PartitionRamseyResult(s, t, r, k, "found", verdicts)
-    return PartitionRamseyResult(s, t, r, None, "not-found", verdicts)
+    return scan_threshold(range(t, k_max + 1), lambda k: _verify_partition_level(
+        s, t, r, k, node_guard, key_guard, workers))
 
 
 # -- the two-extension counterexample demo ----------------------------------------------

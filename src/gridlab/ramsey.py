@@ -1,10 +1,11 @@
 """Coloring reductions and desk-scale Ramsey searches over grids and posets.
 
-Three kinds of colorings share one engine:
+Four kinds of colorings share one engine, ``run_engine``:
 
 * ``comparability`` -- keys are ordered pairs (a, b) with a < b;
 * ``subgrid``       -- keys are m-side subgrids of n^t;
-* ``subposet-copy`` -- keys are induced m^t-grid copies (element sets).
+* ``subposet-copy`` -- keys are induced m^t-grid copies (element sets);
+* ``partition``     -- keys are s-partitions of range(k) (``extension``).
 
 A "structure" is the key set of a candidate monochromatic object. Verifying
 a Ramsey witness means proving no r-coloring leaves every structure
@@ -43,6 +44,7 @@ from .poset import (
 KIND_COMPARABILITY = "comparability"
 KIND_SUBGRID = "subgrid"
 KIND_SUBPOSET = "subposet-copy"
+KIND_PARTITION = "partition"
 
 COPY_GUARD = 2_000_000
 NODE_GUARD = 50_000_000
@@ -86,7 +88,7 @@ class Coloring:
     """A total map from canonical structure keys to colors 1..r."""
 
     def __init__(self, kind: str, r: int):
-        if kind not in (KIND_COMPARABILITY, KIND_SUBGRID, KIND_SUBPOSET):
+        if kind not in (KIND_COMPARABILITY, KIND_SUBGRID, KIND_SUBPOSET, KIND_PARTITION):
             raise ContractViolation(f"unknown coloring kind {kind!r}")
         if r < 1:
             raise ContractViolation("color count must be positive")
@@ -627,7 +629,11 @@ class Verdict:
         return self.status == "true"
 
 
-def _run_engine(keys: Sequence, structures, r, kind, node_guard, workers) -> Verdict:
+def run_engine(keys: Sequence, structures, r: int, kind: str,
+               node_guard: int, workers: int) -> Verdict:
+    """The verdict on structures over ``keys``: "true" when every r-coloring
+    leaves one monochromatic, else "false" with a counterexample keyed by
+    ``keys``, or "inconclusive" when a guard fires."""
     if any(len(s) == 0 for s in structures):
         return Verdict("true", reason="a key-free substructure is always monochromatic")
     if not structures:
@@ -667,7 +673,7 @@ def verify_comparability_ramsey(p: Poset, q: Poset, r: int, *,
         if key not in seen:
             seen.add(key)
             structures.append(key)
-    return _run_engine(keys, structures, r, KIND_COMPARABILITY, node_guard, workers)
+    return run_engine(keys, structures, r, KIND_COMPARABILITY, node_guard, workers)
 
 
 def verify_grid_ramsey(kind: str, t: int, r: int, m: int, l: int, n: int, *,
@@ -689,7 +695,7 @@ def verify_grid_ramsey(kind: str, t: int, r: int, m: int, l: int, n: int, *,
         structures = [tuple(key_index[inner]
                             for inner in iproduct(*[table[axis] for axis in outer]))
                       for outer in iproduct(table, repeat=t)]
-        return _run_engine(keys, structures, r, KIND_SUBGRID, node_guard, workers)
+        return run_engine(keys, structures, r, KIND_SUBGRID, node_guard, workers)
     if kind in (KIND_SUBPOSET, "subposet"):
         ambient = grid(n, t)
         small = grid(m, t)
@@ -709,7 +715,7 @@ def verify_grid_ramsey(kind: str, t: int, r: int, m: int, l: int, n: int, *,
                     structures.append(struct)
         except GuardExceeded as exc:
             return Verdict("inconclusive", reason=str(exc))
-        return _run_engine(keys, structures, r, KIND_SUBPOSET, node_guard, workers)
+        return run_engine(keys, structures, r, KIND_SUBPOSET, node_guard, workers)
     raise ContractViolation(f"unknown kind {kind!r}")
 
 
@@ -726,11 +732,18 @@ def verify_ramsey_witness(p: Poset, q: Poset, r: int,
     return verify_grid_ramsey(kind, q.t, r, m, p.k, q.k, **guards)
 
 
+def verify_at(kind: str, t: int, r: int, m: int, l: int, n: int, **guards) -> Verdict:
+    """The verdict at size n: an l^t grid's comparabilities in n^t, or a grid kind."""
+    if kind == KIND_COMPARABILITY:
+        return verify_comparability_ramsey(grid(l, t), grid(n, t), r, **guards)
+    return verify_grid_ramsey(kind, t, r, m, l, n, **guards)
+
+
 @dataclass(frozen=True)
-class MinRamseyResult:
-    kind: str
-    params: tuple
-    n_found: Optional[int]
+class ThresholdResult:
+    """The smallest size whose verdict is true, and every verdict up to it."""
+
+    found: Optional[int]
     status: str  # "found" | "not-found" | "inconclusive"
     verdicts: dict = field(hash=False, default_factory=dict)
 
@@ -739,27 +752,27 @@ class MinRamseyResult:
                 if v.status == "false"}
 
 
-def min_ramsey_n(t: int, r: int, m: int, l: int, kind: str, n_max: int,
-                 *, workers: int = 1, **guards) -> MinRamseyResult:
-    """Smallest n <= n_max passing verification, counterexamples archived below.
+def scan_threshold(sizes: Iterable[int], verify: Callable[[int], Verdict]) -> ThresholdResult:
+    """The first size whose verdict is true, counterexamples archived below.
 
     Inconclusive verdicts poison the result: minimality cannot be certified
     past a guard, so the status reports it instead of guessing.
     """
     verdicts: dict[int, Verdict] = {}
-    params = (t, r, m, l)
-    for n in range(l, n_max + 1):
-        if kind == KIND_COMPARABILITY:
-            v = verify_comparability_ramsey(grid(l, t), grid(n, t), r,
-                                            workers=workers, **guards)
-        else:
-            v = verify_grid_ramsey(kind, t, r, m, l, n, workers=workers, **guards)
-        verdicts[n] = v
+    for size in sizes:
+        v = verdicts[size] = verify(size)
         if v.status == "inconclusive":
-            return MinRamseyResult(kind, params, None, "inconclusive", verdicts)
+            return ThresholdResult(None, "inconclusive", verdicts)
         if v.status == "true":
-            return MinRamseyResult(kind, params, n, "found", verdicts)
-    return MinRamseyResult(kind, params, None, "not-found", verdicts)
+            return ThresholdResult(size, "found", verdicts)
+    return ThresholdResult(None, "not-found", verdicts)
+
+
+def min_ramsey_n(t: int, r: int, m: int, l: int, kind: str, n_max: int,
+                 **guards) -> ThresholdResult:
+    """Smallest n in l..n_max passing ``verify_at``; see ``scan_threshold``."""
+    return scan_threshold(range(l, n_max + 1),
+                          lambda n: verify_at(kind, t, r, m, l, n, **guards))
 
 
 # -- multicolor bootstrap (two colors suffice) ----------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from gridlab.cli import run
 from gridlab.errors import ContractViolation, GuardExceeded
+from gridlab.fileio import certificate_digest
 from gridlab.graphs import (
     Graph,
     bipartite_edge_decomposition,
@@ -43,13 +44,19 @@ def test_copy_order_is_pinned(call, digest):
     assert _digest(call()) == digest
 
 
-@pytest.mark.parametrize("r, n, digest", [(2, 3, "2f721e5aa9bb3728"),
-                                          (3, 5, "b928cd42a2f65dc7")])
-def test_subposet_certificates_are_pinned(r, n, digest):
+# The last digest is the one from when the certificates recorded "seed": 0;
+# restoring that field gives it back, and it names the test.
+@pytest.mark.parametrize("r, n, digest, with_seed", [
+    pytest.param(2, 3, "d393d1a801336ff2", "2f721e5aa9bb3728", id="2-3-2f721e5aa9bb3728"),
+    pytest.param(3, 5, "60f7d17bd96ebe14", "b928cd42a2f65dc7", id="3-5-b928cd42a2f65dc7")])
+def test_subposet_certificates_are_pinned(r, n, digest, with_seed):
     result = run(["ramsey", "verify", "--kind", "subposet", "--t", "2", "--r", str(r),
                   "--m", "1", "--l", "2", "--n", str(n)])
     assert result.certificate["verdict"] == "false"
     assert result.certificate["digest"][:16] == digest
+    restored = dict(result.certificate,
+                    parameters={**result.certificate["parameters"], "seed": 0})
+    assert certificate_digest(restored)[:16] == with_seed
 
 
 def _random_poset(n, rng, density=0.4) -> Poset:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from gridlab import ramsey
 from gridlab.cli import run
 from gridlab.errors import GuardExceeded
+from gridlab.fileio import certificate_digest
 from gridlab.grids import grid
 from gridlab.ramsey import (
     KIND_SUBGRID,
@@ -94,21 +95,32 @@ def _grid_argv(command, kind, r, n_flag, n):
             "--m", "1", "--l", "2", n_flag, str(n)]
 
 
-@pytest.mark.parametrize("argv, digest", [
-    (_grid_argv("search", "subgrid", 2, "--n-max", 6), "fecb0cbf30d1982b"),
+# (argv, digest, the digest from when ramsey verify/search certificates
+# recorded "seed": 0). Restoring that field must give the earlier digest
+# back, and the earlier digest names the test.
+_PINNED = [
+    (_grid_argv("search", "subgrid", 2, "--n-max", 6), "3c22c77abe475af4", "fecb0cbf30d1982b"),
     (["ramsey", "search", "--kind", "comparability", "--t", "1", "--r", "2",
-      "--p-chain", "3", "--n-max", "7"], "4544049fa354ea87"),
+      "--p-chain", "3", "--n-max", "7"], "d1ceb8741741cf66", "4544049fa354ea87"),
     (["extension", "partition-ramsey", "--s", "2", "--t", "3", "--r", "2", "--k-max", "7"],
-     "d1a33e17f4024216"),
-    (_CHAIN11, "74937371d52540b7"),
-    (["--workers", "2"] + _CHAIN11, "9f41a2203e946dfe"),
-    (_grid_argv("verify", "subgrid", 3, "--n", 6), "d1513fcdb3037205"),
+     "d1a33e17f4024216", None),
+    (_CHAIN11, "b2ccd4795735da72", "74937371d52540b7"),
+    (["--workers", "2"] + _CHAIN11, "6e1ccdfda5f9b370", "9f41a2203e946dfe"),
+    (_grid_argv("verify", "subgrid", 3, "--n", 6), "2096d6c6528ab32b", "d1513fcdb3037205"),
     (["ramsey", "verify", "--kind", "comparability", "--t", "1", "--r", "3",
-      "--p-chain", "3", "--n", "16", "--guard", "100000"], "afc8fa8c11bffac4"),
-    (_grid_argv("verify", "subposet", 2, "--n", 6), "5b594815f9e36d22"),
-])
-def test_certificates_are_pinned(argv, digest):
-    assert run(argv).certificate["digest"][:16] == digest
+      "--p-chain", "3", "--n", "16", "--guard", "100000"], "3f06465fe25a6557", "afc8fa8c11bffac4"),
+    (_grid_argv("verify", "subposet", 2, "--n", 6), "8585d56b655ce01c", "5b594815f9e36d22"),
+]
+
+
+@pytest.mark.parametrize("argv, digest, with_seed", [
+    pytest.param(*pin, id=f"argv{i}-{pin[2] or pin[1]}") for i, pin in enumerate(_PINNED)])
+def test_certificates_are_pinned(argv, digest, with_seed):
+    cert = run(argv).certificate
+    assert cert["digest"][:16] == digest
+    if with_seed is not None:
+        restored = dict(cert, parameters={**cert["parameters"], "seed": 0})
+        assert certificate_digest(restored)[:16] == with_seed
 
 
 def test_serial_and_parallel_witnesses_agree():

@@ -247,20 +247,20 @@ def test_coarsen_and_counts():
 
 
 def test_partition_ramsey_trivial_cases():
-    assert partition_ramsey_search(3, 3, 4, 5).k_found == 3
-    assert partition_ramsey_search(2, 2, 1, 4).k_found == 2
+    assert partition_ramsey_search(3, 3, 4, 5).found == 3
+    assert partition_ramsey_search(2, 2, 1, 4).found == 2
     with pytest.raises(ContractViolation):
         partition_ramsey_search(3, 2, 2, 5)
 
 
 def test_partition_ramsey_2_3_2_is_6():
     res = partition_ramsey_search(2, 3, 2, 7)
-    assert res.k_found == 6 and res.status == "found"
+    assert res.found == 6 and res.status == "found"
     assert sorted(res.counterexamples()) == [3, 4, 5]
     # Independent check of the k = 5 escape: no 3-partition is monochromatic.
     cex = res.counterexamples()[5]
     for pi in partitions_of_range(5, 3):
-        colors = {cex.color_of(c) for c in coarsenings(pi, 2)}
+        colors = {cex.color_of(c.parts) for c in coarsenings(pi, 2)}
         assert len(colors) > 1
 
 

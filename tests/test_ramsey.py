@@ -219,27 +219,27 @@ def test_verify_false_when_no_copy_exists():
 
 def test_min_ramsey_pigeonhole():
     res = min_ramsey_n(1, 2, 1, 2, KIND_SUBGRID, 6)
-    assert res.n_found == 3 and res.status == "found"
+    assert res.found == 3 and res.status == "found"
     assert res.verdicts[2].status == "false"
     assert res.verdicts[3].status == "true"
 
 
 def test_min_ramsey_classical_triangle():
     res = min_ramsey_n(1, 2, 2, 3, KIND_SUBGRID, 7)
-    assert res.n_found == 6
+    assert res.found == 6
     assert sorted(res.counterexamples()) == [3, 4, 5]
 
 
 def test_min_ramsey_grid_cells():
     res = min_ramsey_n(2, 2, 1, 2, KIND_SUBGRID, 6)
-    assert res.n_found == 5
+    assert res.found == 5
     for n, cex in res.counterexamples().items():
         assert find_monochromatic_subgrid(n, 2, 1, 2, cex) is None
 
 
 def test_min_ramsey_comparability_chain3():
     res = min_ramsey_n(1, 2, 2, 3, KIND_COMPARABILITY, 7)
-    assert res.n_found == 6
+    assert res.found == 6
     cex5 = res.verdicts[5].counterexample
     assert find_monochromatic_copy(make_chain(5), make_chain(3), cex5) is None
 
@@ -255,8 +255,8 @@ def test_subposet_kind_threshold_beats_subgrid_at_t2():
     # Induced 2^2 copies outnumber 2-side subgrids, so the subposet variant
     # of the cell-coloring question already holds at n = 4 (subgrids need 5).
     res = min_ramsey_n(2, 2, 1, 2, KIND_SUBPOSET, 5)
-    assert res.n_found == 4
-    assert min_ramsey_n(2, 2, 1, 2, KIND_SUBGRID, 6).n_found == 5
+    assert res.found == 4
+    assert min_ramsey_n(2, 2, 1, 2, KIND_SUBGRID, 6).found == 5
 
 
 def test_verify_parallel_workers_agree():

@@ -179,7 +179,7 @@ def test_subgrid_structures_match_reference(monkeypatch, t, m, l, n):
         seen.update(keys=list(keys), structures=list(structures))
         return ramsey.Verdict("true")
 
-    monkeypatch.setattr(ramsey, "_run_engine", capture)
+    monkeypatch.setattr(ramsey, "run_engine", capture)
     verify_grid_ramsey(KIND_SUBGRID, t, 2, m, l, n)
     keys = [sub.axes for sub in enumerate_subgrids(n, t, m)]
     index = {key: i for i, key in enumerate(keys)}
@@ -217,28 +217,36 @@ def test_hash_coloring_is_reusable():
     assert [c.color_of((k,)) for k in range(50)] == first
 
 
-# Digests measured before the reductions moved to axis tuples.
+# Digests measured before the reductions moved to axis tuples. The verify
+# rows' last entry is the digest from when they recorded "seed": 0; restoring
+# that field gives it back, and it names the test.
 _REDUCE = ["ramsey", "reduce", "--from"]
-
-
-@pytest.mark.parametrize("argv, digest", [
-    (_REDUCE + ["subposet", "--n", "9", "--m", "2", "--seed", "7"], "ffa2a3e07b97599b"),
+_PINNED = [
+    (_REDUCE + ["subposet", "--n", "9", "--m", "2", "--seed", "7"], "ffa2a3e07b97599b", None),
     (_REDUCE + ["subposet", "--n", "9", "--m", "3", "--r", "3", "--seed", "11"],
-     "b81db2f287d7b651"),
+     "b81db2f287d7b651", None),
     (_REDUCE + ["subposet", "--n", "6", "--m", "1", "--r", "3", "--seed", "2"],
-     "7a18ad22ec21559a"),
-    (_REDUCE + ["comparability", "--n", "10", "--seed", "4"], "d0b7b90f8c4f22b1"),
+     "7a18ad22ec21559a", None),
+    (_REDUCE + ["comparability", "--n", "10", "--seed", "4"], "d0b7b90f8c4f22b1", None),
     (_REDUCE + ["comparability", "--n", "4", "--t", "3", "--r", "3", "--seed", "9"],
-     "4cda6c4275e3181e"),
+     "4cda6c4275e3181e", None),
     (["ramsey", "verify", "--kind", "subgrid", "--t", "2", "--r", "2", "--m", "2", "--l", "3",
-      "--n", "5"], "dd95c1823f2482fd"),
+      "--n", "5"], "00f2a0004a784357", "dd95c1823f2482fd"),
     (["ramsey", "verify", "--kind", "subgrid", "--t", "3", "--r", "2", "--m", "1", "--l", "2",
-      "--n", "3"], "f1e0f4f8e208ca05"),
+      "--n", "3"], "695920de8622d3ee", "f1e0f4f8e208ca05"),
     (["ramsey", "verify", "--kind", "subgrid", "--t", "1", "--r", "2", "--m", "2", "--l", "3",
-      "--n", "5"], "c69077e62bafead4"),
-])
-def test_reduce_and_subgrid_certificates_are_pinned(argv, digest):
-    assert cli.run(argv).certificate["digest"][:16] == digest
+      "--n", "5"], "be4d1ab119ae5233", "c69077e62bafead4"),
+]
+
+
+@pytest.mark.parametrize("argv, digest, with_seed", [
+    pytest.param(*pin, id=f"argv{i}-{pin[2] or pin[1]}") for i, pin in enumerate(_PINNED)])
+def test_reduce_and_subgrid_certificates_are_pinned(argv, digest, with_seed):
+    cert = cli.run(argv).certificate
+    assert cert["digest"][:16] == digest
+    if with_seed is not None:
+        restored = dict(cert, parameters={**cert["parameters"], "seed": 0})
+        assert certificate_digest(restored)[:16] == with_seed
 
 
 def _write_coloring_file(path):
@@ -255,7 +263,11 @@ def test_reduce_from_coloring_file_is_pinned_and_verifies(tmp_path, monkeypatch)
                                 "--out", "reduced.json"])
     assert result.exit_code == 0
     assert result.output == "reduced 100 subgrid keys, colors used: [1, 2, 3]"
-    assert result.certificate["digest"][:16] == "e6b479d446641973"
+    assert result.certificate["digest"][:16] == "2949deab983bccc2"
+    # The file's r; recording the default 2 instead gives the earlier digest.
+    assert result.certificate["parameters"]["r"] == 3
+    restored = dict(result.certificate, parameters={**result.certificate["parameters"], "r": 2})
+    assert certificate_digest(restored)[:16] == "e6b479d446641973"
     payload = json.loads((tmp_path / "reduced.json").read_text())
     assert payload["coloring_kind"] == KIND_SUBGRID and len(payload["assignment"]) == 100
 
