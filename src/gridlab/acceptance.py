@@ -42,10 +42,12 @@ from .poset import (
     count_linear_extensions,
     dimension,
     find_realizer,
+    induced_embeddings,
     induced_subposet,
     is_alternating_cycle,
     is_isomorphic,
     is_realizer,
+    iter_bits,
     linear_extensions,
     make_antichain,
     make_chain,
@@ -264,20 +266,8 @@ def _all_posets_up_to_iso(n: int) -> list[Poset]:
         for b, (i, j) in enumerate(pairs):
             if (mask >> b) & 1:
                 up[i] |= 1 << j
-        ok = True
-        for i in range(n):
-            row = up[i]
-            j = 0
-            while row:
-                if row & 1 and up[j] & ~up[i]:
-                    ok = False
-                    break
-                row >>= 1
-                j += 1
-            if not ok:
-                break
-        if not ok:
-            continue
+        if any(up[j] & ~up[i] for i in range(n) for j in iter_bits(up[i])):
+            continue  # not transitive
         p = Poset(up)
         if not any(is_isomorphic(p, q) for q in reps):
             reps.append(p)
@@ -491,23 +481,25 @@ def criterion_8(seed: int = DEFAULT_SEED, instances: int = 50) -> CriterionResul
 
 
 def _graphs_up_to_iso(n: int) -> list[Graph]:
-    import itertools
+    """Unlabeled graphs on n vertices: the first edge mask of each class, told
+    apart from the kept graphs with as many edges by an equal-size induced
+    embedding, that is an isomorphism."""
     pairs = list(combinations(range(n), 2))
-    seen = set()
+    full = (1 << n) - 1
+
+    def isomorphic(g: Graph, h: Graph) -> bool:
+        non = [full ^ row for row in h.adj]
+        checks = [[(u, h.adj if g.has_edge(u, v) else non) for u in range(v)] for v in range(n)]
+        return next(induced_embeddings(range(n), checks, [full] * n), None) is not None
+
+    reps: dict[int, list[Graph]] = {}  # edge count -> the kept graphs
     out = []
-    perms = list(itertools.permutations(range(n)))
     for mask in range(1 << len(pairs)):
-        edges = [pairs[b] for b in range(len(pairs)) if (mask >> b) & 1]
-        canon = None
-        for perm in perms:
-            key = frozenset((min(perm[u], perm[v]), max(perm[u], perm[v]))
-                            for u, v in edges)
-            enc = tuple(sorted(key))
-            if canon is None or enc < canon:
-                canon = enc
-        if canon not in seen:
-            seen.add(canon)
-            out.append(Graph(n, edges))
+        g = Graph(n, [pairs[b] for b in range(len(pairs)) if (mask >> b) & 1])
+        kept = reps.setdefault(mask.bit_count(), [])
+        if not any(isomorphic(g, h) for h in kept):
+            kept.append(g)
+            out.append(g)
     return out
 
 

@@ -461,7 +461,9 @@ def _cmd_verify(args, argv) -> RunResult:
     cert = load_certificate(args.certificate)  # checks the digest against the body
     rerun = run(cert["command"])
     if rerun.certificate is None:
-        return RunResult(EX_FALSE, "re-run produced no certificate")
+        if rerun.exit_code not in (EX_TRUE, EX_FALSE):
+            return rerun  # a failed re-run keeps its own exit code, never "false"
+        return RunResult(EX_DATAERR, "re-run produced no certificate")
     if rerun.certificate["digest"] == cert["digest"]:
         return RunResult(EX_TRUE, "certificate reproduced bit-exactly")
     return RunResult(EX_FALSE, "re-run did not reproduce the certificate")

@@ -52,6 +52,7 @@ STRUCTURE_GUARD = 5_000_000
 
 _DEADLINE: Optional[float] = None
 _STOP = None  # in a shard worker: the event set once its result is not needed
+_ENGINE = None  # in a shard worker: the engine over the instance being sharded
 
 
 class _Stopped(Exception):
@@ -360,16 +361,15 @@ def find_monochromatic_copy(q: Poset, p: Poset, coloring: Coloring,
 
 def search_counterexample(num_keys: int, structures: Sequence[tuple[int, ...]], r: int,
                           node_guard: int = NODE_GUARD,
-                          prefix: Sequence[tuple[int, int]] = (),
-                          break_color_symmetry: bool = True
+                          prefix: Sequence[tuple[int, int]] = ()
                           ) -> Optional[tuple[int, ...]]:
     """A coloring of 0..num_keys-1 leaving no structure monochromatic, or None.
 
     Each structure is a set of distinct keys. Deterministic: keys are branched
-    in index order, colors in increasing order, and the first key is pinned to
-    color 1 (color permutations act on the counterexample space). ``prefix``
-    pins initial (key, color) choices, which is how parallel shards split the
-    tree. A node is one attempt of a color not forbidden on its key; past
+    in index order, colors in increasing order, and a search that starts from
+    nothing pins its first key to color 1 (color permutations act on the
+    counterexample space). ``prefix`` pins initial (key, color) choices. A
+    node is one attempt of a color not forbidden on its key; past
     ``node_guard`` nodes the search raises GuardExceeded.
 
     The state is a few big ints over the keys: ``assigned``, ``col[c]`` (keys
@@ -386,231 +386,236 @@ def search_counterexample(num_keys: int, structures: Sequence[tuple[int, ...]], 
     counts make the walk worth, it scans all structures holding k instead.
     Either way propagation reaches the same fixpoint, so nodes do not change.
     """
-    return _search(num_keys, structures, r, node_guard, prefix, break_color_symmetry)[0]
+    return next(_Engine(num_keys, structures, r).walk(node_guard, prefix))[2]
 
 
-def _search(num_keys, structures, r, node_guard, prefix, break_color_symmetry):
-    """``search_counterexample``'s coloring, or None, and its node count."""
-    if any(len(s) == 0 for s in structures):
-        return None, 0  # an empty structure is monochromatic under every coloring
-    touching = [[] for _ in range(num_keys)]  # touching[k]: masks of structures holding k
-    # pairs[k][j] is pairs[j][k]: the masks of the 3- and 4-key structures holding k and j.
-    pairs = [{} for _ in range(num_keys)]
-    nbr = [0] * num_keys  # nbr[k]: the keys sharing a 3- or 4-key structure with k
-    for keys in structures:
-        mask = 0
-        for k in keys:
-            mask |= 1 << k
-        keys = {*keys}
-        indexed = 3 <= len(keys) <= 4
-        for k in keys:
-            touching[k].append(mask)
-            if indexed:
-                nbr[k] |= mask
-                pk = pairs[k]
-                for j in keys:
-                    if j > k:
-                        if j in pk:
-                            pk[j].append(mask)
-                        else:
-                            pk[j] = pairs[j][k] = [mask]
-    # always[k]: the masks the pair walk skips. Walking one partner costs
-    # about its share of k's pair entries plus a fixed step; past limit[k]
-    # partners the full scan of touching[k] is cheaper.
-    always = []
-    limit = []
-    for k, masks in enumerate(touching):
-        if not nbr[k]:
-            always.append(masks)
-            limit.append(0)
-            continue
-        nbr[k] ^= 1 << k
-        always.append([mask for mask in masks if not 3 <= mask.bit_count() <= 4])
-        per_partner = sum(map(len, pairs[k].values())) / nbr[k].bit_count()
-        limit.append((len(masks) - len(always[k])) / (per_partner + 1.5))
-    colors = range(1, r + 1)
-    others = [()] + [tuple(cc for cc in colors if cc != c) for c in colors]
+class _NodeGuard(GuardExceeded):
+    """The search ran past its node guard."""
 
-    def propagate(assigned: int, col: list, forb: list, key: int, color: int) -> int:
-        """Color key and all that it forces, updating col and forb in place;
-        the new assigned mask, or -1 on conflict."""
-        queue = [(key, color)]
-        while queue:
-            k, c = queue.pop()
-            bit = 1 << k
-            colc = col[c]
-            if assigned & bit:
-                if colc & bit:
-                    continue
-                return -1
-            forbc = forb[c]
-            if forbc & bit:
-                return -1
-            other = assigned ^ colc  # keys with a color other than c
-            assigned |= bit
-            free = ~assigned
-            rest = nbr[k] & colc  # the c-colored partners still to walk
-            if rest.bit_count() > limit[k]:
-                scan, rest = touching[k], 0
-            else:
-                scan = always[k]
-            skip = other
-            pk = pairs[k]
-            while True:
-                for mask in scan:
-                    if mask & skip:
-                        continue  # two colors, or reached through a lower partner
-                    hole = mask & free
-                    if not hole:
-                        return -1  # completed monochromatic
-                    if hole & (hole - 1) or forbc & hole:
-                        continue
-                    forbc |= hole
-                    left = 0
-                    for cc in others[c]:
-                        if not forb[cc] & hole:
-                            left = -1 if left else cc
-                    if not left:
-                        return -1
-                    if left > 0:
-                        queue.append((hole.bit_length() - 1, left))
-                if not rest:
-                    break
-                low = rest & -rest
-                rest ^= low
-                skip = other | colc & (low - 1)
-                scan = pk[low.bit_length() - 1]
-            col[c] = colc | bit
-            forb[c] = forbc
-        return assigned
 
-    def coloring(col: list) -> tuple[int, ...]:
-        return tuple(next(c for c in colors if col[c] >> k & 1) for k in range(num_keys))
+class _Engine:
+    """``search_counterexample``'s walk over one instance, its index built once.
 
-    assigned = 0
-    col = [0] * (r + 1)
-    forb = [0] * (r + 1)
-    for k, c in prefix:
-        assigned = propagate(assigned, col, forb, k, c)
-        if assigned < 0:
-            return None, 0
-    full = (1 << num_keys) - 1
-    if assigned == full:
-        return coloring(col), 0
-    # A frame: (the lowest uncolored key, its bit, its colors left to try, the
-    # state before it). Only a search that starts from nothing pins its first key.
-    first = colors[:1] if break_color_symmetry and not assigned else colors
-    low = ~assigned & (assigned + 1)
-    stack = [(low.bit_length() - 1, low, iter(first), assigned, col, forb)]
-    nodes = 0
-    while stack:
-        cursor, cbit, todo, assigned0, col0, forb0 = stack[-1]
-        for c in todo:
-            if forb0[c] & cbit:
+    ``walk(node_guard, prefix=(), split=None, state=None)`` searches depth
+    first from ``state`` (default: nothing colored) after ``prefix``. In
+    search order it yields ``(nodes, state, coloring)`` for each complete
+    coloring and, given ``split``, ``(nodes, state, None)`` for each live state
+    ``split`` branchings down, whose subtree it skips; then ``(nodes, None,
+    None)``. ``nodes`` counts the nodes so far; a state is (assigned, col, forb).
+    """
+
+    def __init__(self, num_keys: int, structures, r: int):
+        self.inputs = num_keys, structures, r
+        empty = not all(structures)  # an empty structure is monochromatic under every coloring
+        touching = [[] for _ in range(num_keys)]  # touching[k]: masks of structures holding k
+        # pairs[k][j] is pairs[j][k]: the masks of the 3- and 4-key structures holding k and j.
+        pairs = [{} for _ in range(num_keys)]
+        nbr = [0] * num_keys  # nbr[k]: the keys sharing a 3- or 4-key structure with k
+        for keys in structures:
+            mask = 0
+            for k in keys:
+                mask |= 1 << k
+            keys = {*keys}
+            indexed = 3 <= len(keys) <= 4
+            for k in keys:
+                touching[k].append(mask)
+                if indexed:
+                    nbr[k] |= mask
+                    pk = pairs[k]
+                    for j in keys:
+                        if j > k:
+                            if j in pk:
+                                pk[j].append(mask)
+                            else:
+                                pk[j] = pairs[j][k] = [mask]
+        # always[k]: the masks the pair walk skips. Walking one partner costs
+        # about its share of k's pair entries plus a fixed step; past limit[k]
+        # partners the full scan of touching[k] is cheaper.
+        always = []
+        limit = []
+        for k, masks in enumerate(touching):
+            if not nbr[k]:
+                always.append(masks)
+                limit.append(0)
                 continue
-            nodes += 1
-            if nodes > node_guard:
-                raise GuardExceeded(f"counterexample search exceeded its node guard "
-                                    f"{node_guard} at depth {cursor}/{num_keys}")
-            if not nodes & 0xFFF:
-                _check_deadline()
-            col = col0[:]
-            forb = forb0[:]
-            assigned = propagate(assigned0, col, forb, cursor, c)
-            if assigned >= 0:
-                break
-        else:
-            stack.pop()
-            continue
-        if assigned == full:
-            return coloring(col), nodes
-        low = ~assigned & (assigned + 1)
-        stack.append((low.bit_length() - 1, low, iter(colors), assigned, col, forb))
-    return None, nodes
+            nbr[k] ^= 1 << k
+            always.append([mask for mask in masks if not 3 <= mask.bit_count() <= 4])
+            per_partner = sum(map(len, pairs[k].values())) / nbr[k].bit_count()
+            limit.append((len(masks) - len(always[k])) / (per_partner + 1.5))
+        colors = range(1, r + 1)
+        others = [()] + [tuple(cc for cc in colors if cc != c) for c in colors]
+
+        def propagate(assigned: int, col: list, forb: list, key: int, color: int) -> int:
+            """Color key and all that it forces, updating col and forb in place;
+            the new assigned mask, or -1 on conflict."""
+            queue = [(key, color)]
+            while queue:
+                k, c = queue.pop()
+                bit = 1 << k
+                colc = col[c]
+                if assigned & bit:
+                    if colc & bit:
+                        continue
+                    return -1
+                forbc = forb[c]
+                if forbc & bit:
+                    return -1
+                other = assigned ^ colc  # keys with a color other than c
+                assigned |= bit
+                free = ~assigned
+                rest = nbr[k] & colc  # the c-colored partners still to walk
+                if rest.bit_count() > limit[k]:
+                    scan, rest = touching[k], 0
+                else:
+                    scan = always[k]
+                skip = other
+                pk = pairs[k]
+                while True:
+                    for mask in scan:
+                        if mask & skip:
+                            continue  # two colors, or reached through a lower partner
+                        hole = mask & free
+                        if not hole:
+                            return -1  # completed monochromatic
+                        if hole & (hole - 1) or forbc & hole:
+                            continue
+                        forbc |= hole
+                        left = 0
+                        for cc in others[c]:
+                            if not forb[cc] & hole:
+                                left = -1 if left else cc
+                        if not left:
+                            return -1
+                        if left > 0:
+                            queue.append((hole.bit_length() - 1, left))
+                    if not rest:
+                        break
+                    low = rest & -rest
+                    rest ^= low
+                    skip = other | colc & (low - 1)
+                    scan = pk[low.bit_length() - 1]
+                col[c] = colc | bit
+                forb[c] = forbc
+            return assigned
+
+        def coloring(col: list) -> tuple[int, ...]:
+            return tuple(next(c for c in colors if col[c] >> k & 1) for k in range(num_keys))
+
+        def walk(node_guard, prefix=(), split=None, state=None):
+            assigned, col, forb = state or (-1 if empty else 0, [0] * (r + 1), [0] * (r + 1))
+            for k, c in prefix:
+                if assigned >= 0:
+                    assigned = propagate(assigned, col, forb, k, c)
+            full = (1 << num_keys) - 1
+            # A frame: (the lowest uncolored key, its bit, its colors left to try, the
+            # state before it). Only a walk that starts from nothing pins its first key.
+            stack = []
+            if assigned == full:
+                yield 0, (assigned, col, forb), coloring(col)
+            elif assigned >= 0:
+                low = ~assigned & (assigned + 1)
+                stack.append((low.bit_length() - 1, low, iter(colors if assigned else colors[:1]),
+                              assigned, col, forb))
+            nodes = 0
+            while stack:
+                cursor, cbit, todo, assigned0, col0, forb0 = stack[-1]
+                for c in todo:
+                    if forb0[c] & cbit:
+                        continue
+                    nodes += 1
+                    if nodes > node_guard:
+                        raise _NodeGuard(f"counterexample search exceeded its node guard "
+                                         f"{node_guard} at depth {cursor}/{num_keys}")
+                    if not nodes & 0xFFF:
+                        _check_deadline()
+                    col = col0[:]
+                    forb = forb0[:]
+                    assigned = propagate(assigned0, col, forb, cursor, c)
+                    if assigned >= 0:
+                        break
+                else:
+                    stack.pop()
+                    continue
+                if assigned == full:
+                    yield nodes, (assigned, col, forb), coloring(col)
+                elif len(stack) == split:
+                    yield nodes, (assigned, col, forb), None
+                else:
+                    low = ~assigned & (assigned + 1)
+                    stack.append((low.bit_length() - 1, low, iter(colors), assigned, col, forb))
+            yield nodes, None, None
+
+        self.walk = walk
+
+    def __reduce__(self):
+        return _Engine, self.inputs  # rebuilt from its inputs where it is unpickled
 
 
-def _init_shard(deadline: Optional[float], stop) -> None:
-    """Pool initializer: the caller's deadline and the shared stop event."""
-    global _DEADLINE, _STOP
-    _DEADLINE, _STOP = deadline, stop
+def _init_shard(deadline: Optional[float], stop, engine: _Engine) -> None:
+    """Pool initializer: the caller's deadline, the shared stop event and the
+    engine, which a worker inherits by fork or else rebuilds once."""
+    global _DEADLINE, _STOP, _ENGINE
+    _DEADLINE, _STOP, _ENGINE = deadline, stop, engine
 
 
-def _shard_worker(args):
-    """One shard's (status, result, nodes): ("done", coloring or None, nodes),
-    ("guard", reason, 0) or ("stopped", None, 0)."""
-    num_keys, structures, r, node_guard, prefix = args
+def _shard_worker(state, budget: int):
+    """One shard's (coloring or None, nodes), or (None, budget + 1) past its
+    budget; a time limit or stop raises its own exception."""
     try:
         _check_deadline()
-        colors, nodes = _search(num_keys, structures, r, node_guard, prefix, False)
-        return ("done", colors, nodes)
-    except GuardExceeded as exc:
-        return ("guard", str(exc), 0)
-    except _Stopped:
-        return ("stopped", None, 0)
+        nodes, _, colors = next(_ENGINE.walk(budget, state=state))
+        return colors, nodes
+    except _NodeGuard:
+        return None, budget + 1
 
 
 def _parallel_counterexample(num_keys: int, structures, r: int,
                              node_guard: int, workers: int):
-    """Shard the first branching levels over processes; the serial search's
-    result, or the reason of the first guarded shard in shard order.
+    """``search_counterexample`` from nothing, its subtrees searched in processes.
 
-    Shard i pins keys 0..depth-1 to its prefix, and the shards split the
-    serial search tree in its own order, so the first shard holding a
-    witness holds the serial one. Results are read in shard order; the
-    first hit is returned, and the later shards stopped, when no earlier
-    shard hit its guard and the serial search provably stays within
-    ``node_guard`` to reach it: the shards' nodes plus one node for each
-    distinct prefix step before it. Otherwise the serial search is re-run.
+    The serial walk runs here to a small split depth. Each live state there is
+    a shard, reached after ``before`` nodes (a coloring completed above it is
+    a last shard with nothing to search), and a worker searches it within
+    ``node_guard - before`` nodes. The serial search reaches a shard after its
+    ``before`` plus the earlier shards' nodes, so results are read and summed
+    in shard order: node counts, witnesses and verdicts are the serial ones.
     """
     depth = 1
     while r ** depth < workers * 2 and depth < num_keys:
         depth += 1
-    prefixes = []
-
-    def build(prefix, k):
-        if len(prefix) == depth or k >= num_keys:
-            prefixes.append(tuple(prefix))
-            return
-        colors = (1,) if k == 0 else range(1, r + 1)
-        for c in colors:
-            prefix.append((k, c))
-            build(prefix, k + 1)
-            prefix.pop()
-
-    build([], 0)
-    guard_reasons = {}  # shard index -> why its search stopped
+    engine = _Engine(num_keys, structures, r)
+    shards = []  # (the walk's nodes before the shard, its state)
+    for top, state, colors in engine.walk(math.inf, split=depth):
+        if state is None:
+            break
+        shards.append((top, state))
+        if colors is not None:
+            break  # the serial search ends at its first coloring
     nodes = 0  # the shards' nodes so far
-    steps = set()  # the prefix steps the serial search can take up to here
-    rerun = False
-    context = multiprocessing.get_context()
-    stop = context.Event()
-    size = min(workers, len(prefixes), os.cpu_count() or 1)
-    with ProcessPoolExecutor(size, mp_context=context, initializer=_init_shard,
-                             initargs=(_DEADLINE, stop)) as pool:
-        futures = [pool.submit(_shard_worker, (num_keys, structures, r, node_guard, pre))
-                   for pre in prefixes]
-        try:
-            for i, fut in enumerate(futures):
-                status, result, count = fut.result()
-                nodes += count
-                steps.update(prefixes[i][:d] for d in range(1, len(prefixes[i]) + 1))
-                if status == "guard":
-                    guard_reasons[i] = result
-                elif result is not None:
-                    if guard_reasons or nodes + len(steps) > node_guard:
-                        rerun = True
-                        break
-                    return result
-        finally:
-            stop.set()
-            for fut in futures:
-                fut.cancel()
-    if rerun:
-        return search_counterexample(num_keys, structures, r, node_guard)
-    if guard_reasons:
-        i = min(guard_reasons)  # every shard ran, so the first in shard order
-        raise GuardExceeded(f"parallel shard {i + 1}/{len(prefixes)} "
-                            f"(prefix {list(prefixes[i])}): {guard_reasons[i]}")
+    if shards:
+        context = multiprocessing.get_context()
+        stop = context.Event()
+        size = min(workers, len(shards), os.cpu_count() or 1)
+        with ProcessPoolExecutor(size, mp_context=context, initializer=_init_shard,
+                                 initargs=(_DEADLINE, stop, engine)) as pool:
+            futures = [pool.submit(_shard_worker, state, node_guard - before)
+                       for before, state in shards]
+            try:
+                for i, (before, _) in enumerate(shards):
+                    result, count = futures[i].result()
+                    nodes += count
+                    if before + nodes > node_guard:
+                        raise GuardExceeded(f"counterexample search exceeded its node guard "
+                                            f"{node_guard} by shard {i + 1}/{len(shards)}")
+                    if result is not None:
+                        return result
+            finally:
+                stop.set()
+                for fut in futures:
+                    fut.cancel()
+    if top + nodes > node_guard:
+        raise GuardExceeded(f"counterexample search exceeded its node guard {node_guard} "
+                            f"after its {len(shards)} shards")
     return None
 
 

@@ -3,7 +3,7 @@
 import json
 
 from gridlab import cli
-from gridlab.fileio import save_graph, save_poset
+from gridlab.fileio import make_certificate, save_certificate, save_graph, save_poset
 from gridlab.graphs import Graph
 from gridlab.grids import grid
 from gridlab.poset import Poset, make_chain
@@ -42,6 +42,26 @@ def test_ramsey_search_and_certificate_round_trip(tmp_path):
     cert["witness"]["n_found"] = 4
     out.write_text(json.dumps(cert))
     assert cli.run(["verify", str(out)]).exit_code == 65
+
+
+def test_verify_keeps_the_exit_code_of_a_failed_re_run(tmp_path):
+    path = tmp_path / "old.json"
+    command = ["ramsey", "verify", "--kind", "comparability", "--t", "1", "--r", "2",
+               "--p-chain", "3", "--n", "5", "--seed", "3"]  # --seed is no longer a flag
+    save_certificate(path, make_certificate(command, {}, "false", None))
+    direct = cli.run(command)
+    assert direct.exit_code == 64
+    assert cli.run(["verify", str(path)]) == direct
+
+
+def test_verify_rejects_a_command_that_writes_no_certificate(tmp_path):
+    save_poset(tmp_path / "v.poset", make_chain(3))
+    command = ["poset", "info", str(tmp_path / "v.poset")]
+    assert cli.run(command).exit_code == 0
+    path = tmp_path / "info.json"
+    save_certificate(path, make_certificate(command, {}, "true", None))
+    result = cli.run(["verify", str(path)])
+    assert (result.exit_code, result.output) == (65, "re-run produced no certificate")
 
 
 def test_usage_and_input_errors(tmp_path):

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from concurrent.futures import Future
 from itertools import product
 from pathlib import Path
 
@@ -50,19 +51,18 @@ def _instances(draw):
     if num_keys:
         pinned = draw(st.sets(st.integers(0, num_keys - 1), max_size=3))
         prefix = tuple((k, draw(st.integers(1, r))) for k in sorted(pinned))
-    return num_keys, structures, r, prefix, draw(st.booleans())
+    return num_keys, structures, r, prefix
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_instances())
 def test_engine_matches_brute_force(instance):
-    num_keys, structures, r, prefix, break_symmetry = instance
-    got = search_counterexample(num_keys, structures, r, prefix=prefix,
-                                break_color_symmetry=break_symmetry)
+    num_keys, structures, r, prefix = instance
+    got = search_counterexample(num_keys, structures, r, prefix=prefix)
     # Branching in key and color order behind sound propagation finds the
     # lexicographically first good coloring; pinning the first key to color 1
-    # keeps it, since a color permutation maps any good coloring to one that
-    # starts with color 1.
+    # when there is no prefix keeps it, since a color permutation maps any
+    # good coloring to one that starts with color 1.
     assert got == _first_good_coloring(num_keys, structures, r, prefix)
     if got is not None:
         assert all(len({got[k] for k in s}) > 1 for s in structures)
@@ -136,8 +136,8 @@ def test_guard_reasons_say_where_the_search_stopped():
     parallel = verify_comparability_ramsey(grid(3, 1), grid(11, 1), 3,
                                            node_guard=1000, workers=2)
     assert parallel.status == "inconclusive"
-    assert re.fullmatch(r"parallel shard \d+/\d+ \(prefix \[.*\]\): counterexample search "
-                        r"exceeded its node guard 1000 at depth \d+/55", parallel.reason)
+    assert re.fullmatch(r"counterexample search exceeded its node guard 1000 "
+                        r"by shard \d+/\d+", parallel.reason)
 
 
 def test_search_deeper_than_the_recursion_limit():
@@ -169,9 +169,9 @@ def test_serial_and_parallel_agree_on_cells_and_subposets():
     assert _subposet6(1).status == _subposet6(2).status == "true"
 
 
-# Shard 0 of chain-3 r=3 n=11 holds the serial witness after 10,516 of the
-# serial search's 10,518 nodes: one guard lower, the parallel search must
-# not return it, but re-run the serial search and stop at its guard.
+# Shard 1 of chain-3 r=3 n=11 holds the serial witness, found at the serial
+# search's 10,518th node: one guard lower, the parallel search must not
+# return it, but stop at its guard as the serial search does.
 @pytest.mark.parametrize("verify, nodes", [
     (lambda g: verify_comparability_ramsey(grid(3, 1), grid(11, 1), 3, node_guard=g,
                                            workers=2), 10518),
@@ -216,12 +216,7 @@ def test_parallel_search_matches_the_serial_search(instance):
     num_keys, structures, r, guard = instance
     serial = _outcome(search_counterexample, num_keys, structures, r, guard)
     parallel = _outcome(ramsey._parallel_counterexample, num_keys, structures, r, guard, 2)
-    if serial == "guard":
-        # The shards' budget is per shard, so they may finish where the
-        # serial search runs out; they never find a different witness.
-        assert parallel in ("guard", None)
-    else:
-        assert parallel == serial
+    assert parallel == serial
 
 
 class _RefusingPool:
@@ -234,19 +229,86 @@ class _RefusingPool:
         raise RuntimeError("no pool in this test")
 
 
-@pytest.mark.parametrize("num_keys, workers, cpus, size", [
-    (2, 4, 64, 2),     # two shards: key 0 pinned, key 1 in two colors
-    (30, 64, 3, 3),    # capped by the CPU count
-    (30, 64, None, 1),  # an unknown CPU count counts as one
+@pytest.mark.parametrize("num_keys, structures, workers, cpus, size", [
+    # Two shards at split depth 3: key 0 is pinned, coloring key 1 with 1
+    # forces keys 2 and 3 to 2, a conflict, and key 2 then takes either color.
+    pytest.param(5, [(0, 1, 2), (0, 1, 3), (2, 3)], 4, 64, 2, id="5-4-64-2"),
+    pytest.param(30, [(0, 1)], 64, 3, 3, id="30-64-3-3"),  # capped by the CPU count
+    # an unknown CPU count counts as one
+    pytest.param(30, [(0, 1)], 64, None, 1, id="30-64-None-1"),
 ])
-def test_the_pool_is_never_larger_than_the_shards_or_cpus(monkeypatch, num_keys, workers,
-                                                          cpus, size):
+def test_the_pool_is_never_larger_than_the_shards_or_cpus(monkeypatch, num_keys, structures,
+                                                          workers, cpus, size):
     monkeypatch.setattr(ramsey, "ProcessPoolExecutor", _RefusingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     _RefusingPool.sizes.clear()
     with pytest.raises(RuntimeError, match="no pool"):
-        ramsey._parallel_counterexample(num_keys, [(0, 1)], 2, 1000, workers)
+        ramsey._parallel_counterexample(num_keys, structures, 2, 1000, workers)
     assert _RefusingPool.sizes == [size]
+
+
+def test_a_frontier_without_shards_starts_no_pool(monkeypatch):
+    monkeypatch.setattr(ramsey, "ProcessPoolExecutor", _RefusingPool)
+    _RefusingPool.sizes.clear()
+    # Key 1 dies in both colors, so the walk ends after 3 nodes above the split.
+    triangle = [(1, 2), (1, 3), (2, 3)]
+    assert ramsey._parallel_counterexample(5, triangle, 2, 3, 2) is None
+    with pytest.raises(GuardExceeded, match="node guard 2 after its 0 shards"):
+        ramsey._parallel_counterexample(5, triangle, 2, 2, 2)
+    assert _RefusingPool.sizes == []
+
+
+class _InlinePool:
+    """Stands in for the process pool: runs the initializer, then each shard
+    as it is submitted, in this process; restores the worker globals on exit."""
+
+    def __init__(self, max_workers=None, mp_context=None, initializer=None, initargs=()):
+        self.saved = ramsey._DEADLINE, ramsey._STOP, ramsey._ENGINE
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        ramsey._DEADLINE, ramsey._STOP, ramsey._ENGINE = self.saved
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+# (verify, the serial search's node count, whether it finds a counterexample)
+@pytest.mark.parametrize("verify, finish, found", [
+    (lambda: verify_grid_ramsey(KIND_SUBGRID, 2, 2, 1, 2, 4), 34, True),
+    (lambda: verify_comparability_ramsey(grid(3, 1), grid(8, 1), 3), 223, True),
+    (lambda: verify_comparability_ramsey(grid(3, 1), grid(6, 1), 2), 19, False),
+])
+def test_shard_accounting_at_every_guard(monkeypatch, verify, finish, found):
+    seen = []  # the (num_keys, structures, r) that verify hands to the engine
+    monkeypatch.setattr(ramsey, "run_engine",
+                        lambda keys, structures, r, *rest: seen.append((len(keys), structures, r)))
+    verify()
+    num_keys, structures, r = seen[0]
+    monkeypatch.setattr(ramsey, "ProcessPoolExecutor", _InlinePool)
+    for guard in range(finish + 1):
+        serial = _outcome(search_counterexample, num_keys, structures, r, guard)
+        if guard < finish:
+            assert serial == "guard"
+        for workers in (2, 4):
+            assert _outcome(ramsey._parallel_counterexample, num_keys, structures, r,
+                            guard, workers) == serial, (guard, workers)
+    assert (serial is not None) == found
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_verdict_at_the_guard_edge_does_not_depend_on_workers(workers):
+    def cells5(guard):
+        return verify_grid_ramsey(KIND_SUBGRID, 2, 2, 1, 2, 5, node_guard=guard,
+                                  workers=workers)
+
+    assert cells5(2698).status == "inconclusive"
+    assert cells5(2699).status == "true"
 
 
 _FORKSERVER_TIME_LIMIT = """
