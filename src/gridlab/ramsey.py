@@ -11,7 +11,9 @@ A "structure" is the key set of a candidate monochromatic object. Verifying
 a Ramsey witness means proving no r-coloring leaves every structure
 non-monochromatic; the search backtracks over keys in a fixed deterministic
 order with monochromatic-forcing propagation and first-key color-symmetry
-breaking. Guard exhaustion is a distinct inconclusive verdict, never False.
+breaking, and on chain hosts (keys the edges of K_n) with lex-leader
+vertex-symmetry breaking. Guard exhaustion is a distinct inconclusive
+verdict, never False.
 """
 
 from __future__ import annotations
@@ -361,8 +363,8 @@ def find_monochromatic_copy(q: Poset, p: Poset, coloring: Coloring,
 
 def search_counterexample(num_keys: int, structures: Sequence[tuple[int, ...]], r: int,
                           node_guard: int = NODE_GUARD,
-                          prefix: Sequence[tuple[int, int]] = ()
-                          ) -> Optional[tuple[int, ...]]:
+                          prefix: Sequence[tuple[int, int]] = (),
+                          vertices: Optional[int] = None) -> Optional[tuple[int, ...]]:
     """A coloring of 0..num_keys-1 leaving no structure monochromatic, or None.
 
     Each structure is a set of distinct keys. Deterministic: keys are branched
@@ -385,12 +387,87 @@ def search_counterexample(num_keys: int, structures: Sequence[tuple[int, ...]], 
     always scanned. When k has more c-colored partners than its structure
     counts make the walk worth, it scans all structures holding k instead.
     Either way propagation reaches the same fixpoint, so nodes do not change.
+
+    ``vertices`` = n declares the keys to be the edges of K_n, key i being the
+    i-th pair of ``combinations(range(n), 2)``, with structures that every
+    permutation of the n vertices maps onto themselves. The search then also
+    breaks the vertex symmetry (see ``_lex_leader``) and cannot take a prefix.
     """
-    return next(_Engine(num_keys, structures, r).walk(node_guard, prefix))[2]
+    return next(_Engine(num_keys, structures, r, vertices).walk(node_guard, prefix))[2]
 
 
 class _NodeGuard(GuardExceeded):
     """The search ran past its node guard."""
+
+
+def _check_vertex_symmetry(n: int, num_keys: int, structures) -> None:
+    """Raise ContractViolation unless the keys are K_n's edges and the
+    transposition (0 1) and the cycle (0 1 ... n-1), which generate S_n, map
+    the structure set onto itself."""
+    edges = list(combinations(range(n), 2))
+    if num_keys != len(edges):
+        raise ContractViolation(f"{num_keys} keys are not the {len(edges)} edges of K_{n}")
+    index = {edge: i for i, edge in enumerate(edges)}
+    given = {frozenset(s) for s in structures}
+    for perm in ([1, 0, *range(2, n)], [*range(1, n), 0]):
+        image = [index[min(perm[a], perm[b]), max(perm[a], perm[b])] for a, b in edges]
+        if {frozenset(image[k] for k in s) for s in given} != given:
+            raise ContractViolation(f"the structures are not invariant under S_{n}")
+
+
+def _lex_leader(n: int, colors: range):
+    """The lex-leader constraints on an r-coloring of K_n's edges in key order.
+
+    Order the colorings as strings over the keys (0,1), (0,2), ..., (n-2,n-1).
+    The least coloring of each orbit of S_n (vertices) x S_r (colors) is no
+    larger than any image of it, so it keeps three constraints, each one
+    compared against one group element:
+
+    (a) at key (v,u) with u-1 > v, if columns u-1 and u agree on every row
+        w < v, then color(v,u) >= color(v,u-1) (the transposition of u-1, u);
+    (b) a color c > 1 appears only after c-1 has (the transposition of c-1, c);
+    (c) row 0 being complete, no color is used more often in it than the one
+        before (a color permutation, then the vertices re-sorted by (a)).
+
+    Each constraint at key k reads only keys below k and k's color. Returns
+    ``(tries, passes)``: ``tries(col, k)`` lists the colors that key k may take
+    after the keys below it, colored as in ``col``; ``passes(col, k, assigned)``
+    says whether keys k, k+1, ... below the lowest uncolored key, colored by
+    propagation, keep the constraints.
+    """
+    edges = list(combinations(range(n), 2))
+    index = {edge: i for i, edge in enumerate(edges)}
+    # above[k]: the keys (w, u-1), w < v, of key (v, u), or None when u-1 == v
+    above = [sum(1 << index[w, u - 1] for w in range(v)) if u - 1 > v else None
+             for v, u in edges]
+    row0 = n - 2  # the last key of row 0
+    r = len(colors)
+
+    def admits(col: list, k: int, c: int) -> bool:
+        below = (1 << k) - 1
+        if c > 1 and not col[c - 1] & below:
+            return False  # (b)
+        a = above[k]
+        if a is not None and any(col[cc] >> (k - 1) & 1 for cc in range(c + 1, r + 1)) \
+                and all((col[cc] & a) << 1 == col[cc] & a << 1 for cc in colors):
+            return False  # (a): color(v,u) < color(v,u-1) under equal columns
+        if k == row0:
+            counts = [(col[cc] & below).bit_count() + (cc == c) for cc in colors]
+            if any(x < y for x, y in zip(counts, counts[1:])):
+                return False  # (c)
+        return True
+
+    def tries(col: list, k: int) -> list:
+        return [c for c in colors if admits(col, k, c)]
+
+    def passes(col: list, k: int, assigned: int) -> bool:
+        stop = (~assigned & (assigned + 1)).bit_length() - 1
+        for key in range(k, stop):
+            if not admits(col, key, next(c for c in colors if col[c] >> key & 1)):
+                return False
+        return True
+
+    return tries, passes
 
 
 class _Engine:
@@ -402,10 +479,17 @@ class _Engine:
     coloring and, given ``split``, ``(nodes, state, None)`` for each live state
     ``split`` branchings down, whose subtree it skips; then ``(nodes, None,
     None)``. ``nodes`` counts the nodes so far; a state is (assigned, col, forb).
+
+    With ``vertices`` the walk keeps ``_lex_leader``'s constraints: a key is
+    branched only on the colors they admit, and a state whose propagation
+    colored a key they reject once the cursor passes it is a conflict. Both
+    read only the state, so a shard resumed elsewhere prunes as the serial walk.
     """
 
-    def __init__(self, num_keys: int, structures, r: int):
-        self.inputs = num_keys, structures, r
+    def __init__(self, num_keys: int, structures, r: int, vertices: Optional[int] = None):
+        self.inputs = num_keys, structures, r, vertices
+        if vertices is not None:
+            _check_vertex_symmetry(vertices, num_keys, structures)
         empty = not all(structures)  # an empty structure is monochromatic under every coloring
         touching = [[] for _ in range(num_keys)]  # touching[k]: masks of structures holding k
         # pairs[k][j] is pairs[j][k]: the masks of the 3- and 4-key structures holding k and j.
@@ -501,21 +585,27 @@ class _Engine:
         def coloring(col: list) -> tuple[int, ...]:
             return tuple(next(c for c in colors if col[c] >> k & 1) for k in range(num_keys))
 
+        tries, passes = (None, None) if vertices is None else _lex_leader(vertices, colors)
+
         def walk(node_guard, prefix=(), split=None, state=None):
+            if prefix and tries:
+                raise ContractViolation("a prefix may break the lex-leader constraints")
             assigned, col, forb = state or (-1 if empty else 0, [0] * (r + 1), [0] * (r + 1))
             for k, c in prefix:
                 if assigned >= 0:
                     assigned = propagate(assigned, col, forb, k, c)
             full = (1 << num_keys) - 1
             # A frame: (the lowest uncolored key, its bit, its colors left to try, the
-            # state before it). Only a walk that starts from nothing pins its first key.
+            # state before it). Only a walk that starts from nothing pins its first key,
+            # and under symmetry breaking constraint (b) pins it.
             stack = []
             if assigned == full:
                 yield 0, (assigned, col, forb), coloring(col)
             elif assigned >= 0:
                 low = ~assigned & (assigned + 1)
-                stack.append((low.bit_length() - 1, low, iter(colors if assigned else colors[:1]),
-                              assigned, col, forb))
+                key = low.bit_length() - 1
+                todo = tries(col, key) if tries else colors if assigned else colors[:1]
+                stack.append((key, low, iter(todo), assigned, col, forb))
             nodes = 0
             while stack:
                 cursor, cbit, todo, assigned0, col0, forb0 = stack[-1]
@@ -531,7 +621,7 @@ class _Engine:
                     col = col0[:]
                     forb = forb0[:]
                     assigned = propagate(assigned0, col, forb, cursor, c)
-                    if assigned >= 0:
+                    if assigned >= 0 and (not passes or passes(col, cursor + 1, assigned)):
                         break
                 else:
                     stack.pop()
@@ -542,7 +632,9 @@ class _Engine:
                     yield nodes, (assigned, col, forb), None
                 else:
                     low = ~assigned & (assigned + 1)
-                    stack.append((low.bit_length() - 1, low, iter(colors), assigned, col, forb))
+                    key = low.bit_length() - 1
+                    stack.append((key, low, iter(tries(col, key) if tries else colors),
+                                  assigned, col, forb))
             yield nodes, None, None
 
         self.walk = walk
@@ -570,7 +662,7 @@ def _shard_worker(state, budget: int):
 
 
 def _parallel_counterexample(num_keys: int, structures, r: int,
-                             node_guard: int, workers: int):
+                             node_guard: int, workers: int, vertices: Optional[int] = None):
     """``search_counterexample`` from nothing, its subtrees searched in processes.
 
     The serial walk runs here to a small split depth. Each live state there is
@@ -583,7 +675,7 @@ def _parallel_counterexample(num_keys: int, structures, r: int,
     depth = 1
     while r ** depth < workers * 2 and depth < num_keys:
         depth += 1
-    engine = _Engine(num_keys, structures, r)
+    engine = _Engine(num_keys, structures, r, vertices)
     shards = []  # (the walk's nodes before the shard, its state)
     for top, state, colors in engine.walk(math.inf, split=depth):
         if state is None:
@@ -635,28 +727,36 @@ class Verdict:
 
 
 def run_engine(keys: Sequence, structures, r: int, kind: str,
-               node_guard: int, workers: int) -> Verdict:
+               node_guard: int, workers: int, vertices: Optional[int] = None) -> Verdict:
     """The verdict on structures over ``keys``: "true" when every r-coloring
     leaves one monochromatic, else "false" with a counterexample keyed by
-    ``keys``, or "inconclusive" when a guard fires."""
+    ``keys``, or "inconclusive" when a guard fires.
+
+    ``vertices`` = n declares ``keys`` to be K_n's edges in lex order under an
+    S_n-invariant structure set, so the search breaks that symmetry (refused
+    with ContractViolation when the structures are not invariant) and the
+    verdict's reason says so."""
     if any(len(s) == 0 for s in structures):
         return Verdict("true", reason="a key-free substructure is always monochromatic")
     if not structures:
         counter = MapColoring(kind, r, {key: 1 for key in keys})
         return Verdict("false", counterexample=counter,
                        reason="no candidate substructure exists")
+    symmetry = "" if vertices is None else \
+        f"lex-leader symmetry breaking over S_{vertices} x S_{r}"
     try:
         if workers > 1:
             colors = _parallel_counterexample(len(keys), structures, r,
-                                              node_guard, workers)
+                                              node_guard, workers, vertices)
         else:
-            colors = search_counterexample(len(keys), structures, r, node_guard)
+            colors = search_counterexample(len(keys), structures, r, node_guard,
+                                           vertices=vertices)
     except GuardExceeded as exc:
-        return Verdict("inconclusive", reason=str(exc))
+        return Verdict("inconclusive", reason="; ".join(filter(None, [str(exc), symmetry])))
     if colors is None:
-        return Verdict("true")
+        return Verdict("true", reason=symmetry)
     assignment = {key: colors[i] for i, key in enumerate(keys)}
-    return Verdict("false", counterexample=MapColoring(kind, r, assignment))
+    return Verdict("false", counterexample=MapColoring(kind, r, assignment), reason=symmetry)
 
 
 def verify_comparability_ramsey(p: Poset, q: Poset, r: int, *,
@@ -678,7 +778,11 @@ def verify_comparability_ramsey(p: Poset, q: Poset, r: int, *,
         if key not in seen:
             seen.add(key)
             structures.append(key)
-    return run_engine(keys, structures, r, KIND_COMPARABILITY, node_guard, workers)
+    # On a chain the keys are K_n's edges, and every permutation of the
+    # elements maps the copies of p onto copies of p.
+    vertices = q.n if keys == tuple(combinations(range(q.n), 2)) else None
+    return run_engine(keys, structures, r, KIND_COMPARABILITY, node_guard, workers,
+                      vertices=vertices)
 
 
 def verify_grid_ramsey(kind: str, t: int, r: int, m: int, l: int, n: int, *,

@@ -25,7 +25,7 @@ def test_ramsey_verify_exit_codes():
     assert false_run.certificate["verdict"] == "false"
     guarded = cli.run(["ramsey", "verify", "--kind", "comparability",
                        "--t", "1", "--r", "2", "--p-chain", "3", "--n", "6",
-                       "--guard", "10"])
+                       "--guard", "5"])  # 8 nodes settle it
     assert guarded.exit_code == 2
 
 

@@ -1,6 +1,6 @@
 """The counterexample engine: brute-force differential, pinned node counts,
-pinned certificates, serial/parallel agreement, guard reasons and deep
-instances."""
+pinned certificates, serial/parallel agreement, guard reasons, deep
+instances and lex-leader symmetry breaking on chain hosts."""
 
 import os
 import re
@@ -8,7 +8,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import Future
-from itertools import product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
@@ -17,12 +17,16 @@ from hypothesis import strategies as st
 
 from gridlab import ramsey
 from gridlab.cli import run
-from gridlab.errors import GuardExceeded
+from gridlab.errors import ContractViolation, GuardExceeded
 from gridlab.fileio import certificate_digest
 from gridlab.grids import grid
 from gridlab.ramsey import (
+    KIND_COMPARABILITY,
     KIND_SUBGRID,
     KIND_SUBPOSET,
+    find_monochromatic_copy,
+    min_ramsey_n,
+    run_engine,
     search_counterexample,
     verify_comparability_ramsey,
     verify_grid_ramsey,
@@ -68,14 +72,24 @@ def test_engine_matches_brute_force(instance):
         assert all(len({got[k] for k in s}) > 1 for s in structures)
 
 
+def _chain(n, guard=10 ** 6, r=3, workers=1, l=3):
+    """Chain-l in the n-chain: l-cliques in r-colorings of K_n's edges."""
+    return verify_comparability_ramsey(grid(l, 1), grid(n, 1), r, node_guard=guard,
+                                       workers=workers)
+
+
 def _chain11(guard):
-    return verify_comparability_ramsey(grid(3, 1), grid(11, 1), 3, node_guard=guard)
+    return _chain(11, guard)
 
 
-# Node counts of the engine before its state became key bitmasks: a node is a
-# (key, color) attempt, so each search finishes under exactly this guard.
+# A node is a (key, color) attempt, so each search finishes under exactly this
+# guard. The grid kinds keep the counts of the engine before its state became
+# key bitmasks; the chain instances break the vertex symmetry (the plain search
+# needs 10518 nodes for chain-3 in 11). K_16 and K_17 settle R(3,3,3) = 17.
 @pytest.mark.parametrize("verify, nodes, status", [
-    (_chain11, 10518, "false"),
+    (_chain11, 203, "false"),
+    (lambda g: _chain(16, g), 3761, "false"),
+    (lambda g: _chain(17, g), 962, "true"),
     (lambda g: verify_grid_ramsey(KIND_SUBGRID, 2, 3, 1, 2, 6, node_guard=g), 8099, "false"),
     (lambda g: verify_grid_ramsey(KIND_SUBPOSET, 2, 2, 1, 2, 6, node_guard=g), 391, "true"),
     (lambda g: verify_grid_ramsey(KIND_SUBGRID, 2, 2, 1, 2, 5, node_guard=g), 2699, "true"),
@@ -107,8 +121,9 @@ _PINNED = [
     (_CHAIN11, "b2ccd4795735da72", "74937371d52540b7"),
     (["--workers", "2"] + _CHAIN11, "6e1ccdfda5f9b370", "9f41a2203e946dfe"),
     (_grid_argv("verify", "subgrid", 3, "--n", 6), "2096d6c6528ab32b", "d1513fcdb3037205"),
+    # None: no certificate that recorded a seed had this verdict
     (["ramsey", "verify", "--kind", "comparability", "--t", "1", "--r", "3",
-      "--p-chain", "3", "--n", "16", "--guard", "100000"], "3f06465fe25a6557", "afc8fa8c11bffac4"),
+      "--p-chain", "3", "--n", "16", "--guard", "100000"], "eecea0843e13fab9", None),
     (_grid_argv("verify", "subposet", 2, "--n", 6), "8585d56b655ce01c", "5b594815f9e36d22"),
 ]
 
@@ -131,13 +146,15 @@ def test_serial_and_parallel_witnesses_agree():
 
 
 def test_guard_reasons_say_where_the_search_stopped():
-    assert _chain11(1000).reason == \
-        "counterexample search exceeded its node guard 1000 at depth 13/55"
-    parallel = verify_comparability_ramsey(grid(3, 1), grid(11, 1), 3,
-                                           node_guard=1000, workers=2)
+    symmetry = "lex-leader symmetry breaking over S_11 x S_3"
+    assert _chain11(100).reason == \
+        f"counterexample search exceeded its node guard 100 at depth 13/55; {symmetry}"
+    parallel = _chain(11, 100, workers=2)
     assert parallel.status == "inconclusive"
-    assert re.fullmatch(r"counterexample search exceeded its node guard 1000 "
-                        r"by shard \d+/\d+", parallel.reason)
+    assert re.fullmatch(r"counterexample search exceeded its node guard 100 "
+                        rf"by shard \d+/\d+; {symmetry}", parallel.reason)
+    cells = _cells6(1000)
+    assert cells.reason == "counterexample search exceeded its node guard 1000 at depth 24/36"
 
 
 def test_search_deeper_than_the_recursion_limit():
@@ -170,11 +187,10 @@ def test_serial_and_parallel_agree_on_cells_and_subposets():
 
 
 # Shard 1 of chain-3 r=3 n=11 holds the serial witness, found at the serial
-# search's 10,518th node: one guard lower, the parallel search must not
+# search's 203rd node: one guard lower, the parallel search must not
 # return it, but stop at its guard as the serial search does.
 @pytest.mark.parametrize("verify, nodes", [
-    (lambda g: verify_comparability_ramsey(grid(3, 1), grid(11, 1), 3, node_guard=g,
-                                           workers=2), 10518),
+    (lambda g: _chain(11, g, workers=2), 203),
     (lambda g: _cells6(g, workers=2), 8099),
 ])
 def test_parallel_verdicts_at_the_guard_edges(verify, nodes):
@@ -278,26 +294,34 @@ class _InlinePool:
         return fut
 
 
-# (verify, the serial search's node count, whether it finds a counterexample)
+def _engine_inputs(monkeypatch, verify):
+    """The (num_keys, structures, r, vertices) that verify hands to the engine."""
+    seen = []
+    with monkeypatch.context() as patch:
+        patch.setattr(ramsey, "run_engine",
+                      lambda keys, structures, r, *rest, vertices=None:
+                      seen.append((len(keys), structures, r, vertices)))
+        verify()
+    return seen[0]
+
+
+# (verify, the serial search's node count, whether it finds a counterexample);
+# the chain instances break the vertex symmetry of K_8 and K_6.
 @pytest.mark.parametrize("verify, finish, found", [
     (lambda: verify_grid_ramsey(KIND_SUBGRID, 2, 2, 1, 2, 4), 34, True),
-    (lambda: verify_comparability_ramsey(grid(3, 1), grid(8, 1), 3), 223, True),
-    (lambda: verify_comparability_ramsey(grid(3, 1), grid(6, 1), 2), 19, False),
+    (lambda: _chain(8), 47, True),
+    (lambda: _chain(6, r=2), 8, False),
 ])
 def test_shard_accounting_at_every_guard(monkeypatch, verify, finish, found):
-    seen = []  # the (num_keys, structures, r) that verify hands to the engine
-    monkeypatch.setattr(ramsey, "run_engine",
-                        lambda keys, structures, r, *rest: seen.append((len(keys), structures, r)))
-    verify()
-    num_keys, structures, r = seen[0]
+    num_keys, structures, r, vertices = _engine_inputs(monkeypatch, verify)
     monkeypatch.setattr(ramsey, "ProcessPoolExecutor", _InlinePool)
     for guard in range(finish + 1):
-        serial = _outcome(search_counterexample, num_keys, structures, r, guard)
+        serial = _outcome(search_counterexample, num_keys, structures, r, guard, (), vertices)
         if guard < finish:
             assert serial == "guard"
         for workers in (2, 4):
             assert _outcome(ramsey._parallel_counterexample, num_keys, structures, r,
-                            guard, workers) == serial, (guard, workers)
+                            guard, workers, vertices) == serial, (guard, workers)
     assert (serial is not None) == found
 
 
@@ -311,17 +335,17 @@ def test_a_verdict_at_the_guard_edge_does_not_depend_on_workers(workers):
     assert cells5(2699).status == "true"
 
 
+# 3-colorings of the 9x9 cells without a monochromatic rectangle: about 5 s
+# to the 300,000-node guard with two workers, and no symmetry is broken.
 _FORKSERVER_TIME_LIMIT = """
 import multiprocessing, time
-from gridlab.grids import grid
-from gridlab.ramsey import time_limit, verify_comparability_ramsey
+from gridlab.ramsey import KIND_SUBGRID, time_limit, verify_grid_ramsey
 
 if __name__ == "__main__":
     multiprocessing.set_start_method("forkserver")
     start = time.monotonic()
     with time_limit(0.3):
-        v = verify_comparability_ramsey(grid(3, 1), grid(16, 1), 3, node_guard=300000,
-                                        workers=2)
+        v = verify_grid_ramsey(KIND_SUBGRID, 2, 3, 1, 2, 9, node_guard=300000, workers=2)
     print(v.status, time.monotonic() - start, v.reason, sep="|")
 """
 
@@ -339,3 +363,75 @@ def test_the_time_limit_reaches_forkserver_workers():
     assert status == "inconclusive"
     assert reason.endswith("time limit exceeded"), reason
     assert float(seconds) < 3.0 and time.monotonic() - start < 30
+
+
+# (l, the largest n, r): chain-4 in the 11-chain takes the plain search 6 s at r = 2
+@pytest.mark.parametrize("l, top, r", [(l, top, r) for l, top in ((2, 11), (3, 11), (4, 10))
+                                       for r in (1, 2, 3)])
+def test_symmetry_breaking_keeps_the_plain_search_result(monkeypatch, l, top, r):
+    # The plain search returns the least good coloring in key order. Every
+    # image of it under S_n x S_r is good too, so it is the least of its orbit
+    # and keeps the lex-leader constraints: both searches return it.
+    for n in range(l, top + 1):
+        num_keys, structures, _, vertices = _engine_inputs(
+            monkeypatch, lambda: _chain(n, r=r, l=l))
+        assert vertices == n
+        plain = search_counterexample(num_keys, structures, r)
+        assert search_counterexample(num_keys, structures, r, vertices=n) == plain, n
+        verdict = _chain(n, r=r, l=l)
+        assert verdict.status == ("true" if plain is None else "false"), n
+        if plain is not None:
+            assert find_monochromatic_copy(grid(n, 1), grid(l, 1),
+                                           verdict.counterexample) is None, n
+
+
+@st.composite
+def _graph_orbits(draw):
+    """The edge sets of every copy of a random graph H in K_n, as key sets."""
+    n = draw(st.integers(2, 7))
+    h = draw(st.integers(2, min(n, 4)))
+    pattern = draw(st.sets(st.sampled_from(list(combinations(range(h), 2))), min_size=1))
+    index = {e: i for i, e in enumerate(combinations(range(n), 2))}
+    structures = {tuple(sorted(index[min(img[a], img[b]), max(img[a], img[b])]
+                               for a, b in pattern))
+                  for img in permutations(range(n), h)}
+    return n, len(index), sorted(structures), draw(st.integers(1, 3))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_graph_orbits())
+def test_symmetry_breaking_matches_the_plain_search_on_graph_orbits(instance):
+    n, num_keys, structures, r = instance
+    plain = search_counterexample(num_keys, structures, r)
+    assert search_counterexample(num_keys, structures, r, vertices=n) == plain
+    verdict = run_engine(list(combinations(range(n), 2)), structures, r,
+                         KIND_COMPARABILITY, 10 ** 6, 1, vertices=n)
+    assert verdict.reason == f"lex-leader symmetry breaking over S_{n} x S_{r}"
+    assert verdict.status == ("true" if plain is None else "false")
+
+
+def test_the_threshold_scan_finds_r333_17():
+    res = min_ramsey_n(1, 3, 2, 3, KIND_COMPARABILITY, 17)
+    assert (res.found, res.status) == (17, "found")
+    assert res.verdicts[16].reason == "lex-leader symmetry breaking over S_16 x S_3"
+    cex = res.counterexamples()
+    assert sorted(cex) == list(range(3, 17))
+    for n, coloring in cex.items():
+        assert find_monochromatic_copy(grid(n, 1), grid(3, 1), coloring) is None, n
+
+
+@pytest.mark.parametrize("n, structures, vertices", [
+    pytest.param(4, [(0, 1, 3)], 4, id="one-triangle"),  # S_4 moves it to the others
+    pytest.param(3, [(0, 1)], 3, id="one-path"),  # the cycle (0 1 2) moves it
+    pytest.param(4, [(0, 1, 3)], 5, id="wrong-key-count"),  # K_5 has 10 edges, not 6
+])
+def test_a_vertex_symmetry_the_structures_lack_is_refused(n, structures, vertices):
+    keys = list(combinations(range(n), 2))
+    with pytest.raises(ContractViolation):
+        run_engine(keys, structures, 2, KIND_COMPARABILITY, 1000, 1, vertices=vertices)
+
+
+def test_a_prefix_is_refused_under_symmetry_breaking():
+    # Pinned colors need not keep the lex-leader constraints.
+    with pytest.raises(ContractViolation):
+        search_counterexample(3, [(0, 1, 2)], 2, prefix=[(0, 2)], vertices=3)

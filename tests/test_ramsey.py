@@ -201,7 +201,8 @@ def test_verify_wrapper_kinds():
 
 
 def test_verify_inconclusive_on_tiny_guard():
-    v = verify_comparability_ramsey(make_chain(3), make_chain(6), 2, node_guard=10)
+    # The symmetry-breaking search refutes every 2-coloring of K_6 in 8 nodes.
+    v = verify_comparability_ramsey(make_chain(3), make_chain(6), 2, node_guard=5)
     assert v.status == "inconclusive"
 
 
