@@ -68,6 +68,7 @@ from .ramsey import (
     find_monochromatic_copy,
     find_monochromatic_subgrid,
     hash_coloring,
+    index_structures,
     min_ramsey_n,
     multicolor_bootstrap,
     random_map_coloring,

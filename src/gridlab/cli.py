@@ -76,11 +76,21 @@ class RunResult:
     out_written: bool = False  # the handler already used --out itself
 
 
+def _workers(text: str) -> int:
+    """A ``--workers`` or ``GRIDLAB_WORKERS`` value: a positive integer."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gridlab", description=__doc__)
-    parser.add_argument("--workers", type=int,
-                        default=int(os.environ.get("GRIDLAB_WORKERS", "1")),
-                        help="parallel workers for counterexample searches")
+    # A string default is converted by argparse, so a bad GRIDLAB_WORKERS is a
+    # usage error like a bad --workers.
+    parser.add_argument("--workers", type=_workers,
+                        default=os.environ.get("GRIDLAB_WORKERS", "1"),
+                        help="parallel workers for counterexample searches "
+                             "(default: GRIDLAB_WORKERS or 1)")
     sub = parser.add_subparsers(dest="group", required=True)
 
     p = sub.add_parser("poset", help="poset file utilities")

@@ -29,6 +29,7 @@ from .ramsey import (
     NODE_GUARD,
     ThresholdResult,
     Verdict,
+    index_structures,
     induced_copies,
     run_engine,
     scan_threshold,
@@ -409,20 +410,18 @@ def build_conforming_embedding(x: Poset, m: LinearExtension, k: int, psi: Partit
 
 
 def _verify_partition_level(s: int, t: int, r: int, k: int, node_guard: int,
-                            key_guard: int, workers: int) -> Verdict:
+                            workers: int) -> Verdict:
     keys = [pi.parts for pi in partitions_of_range(k, s)]
-    if len(keys) > key_guard:
+    if len(keys) > PARTITION_KEY_GUARD:
         return Verdict("inconclusive",
                        reason=f"{len(keys)} s-partitions exceed the key guard")
-    key_index = {parts: i for i, parts in enumerate(keys)}
-    structures = [tuple(key_index[c.parts] for c in coarsenings(pi, s))
-                  for pi in partitions_of_range(k, t)]
+    structures = index_structures(keys, ([c.parts for c in coarsenings(pi, s)]
+                                         for pi in partitions_of_range(k, t)))
     return run_engine(keys, structures, r, KIND_PARTITION, node_guard, workers)
 
 
 def partition_ramsey_search(s: int, t: int, r: int, k_max: int,
                             node_guard: int = NODE_GUARD,
-                            key_guard: int = PARTITION_KEY_GUARD,
                             workers: int = 1) -> ThresholdResult:
     """Least k in t..k_max such that every r-coloring of the s-partitions of
     [k] has a t-partition whose s-coarsenings all share a color. Colorings
@@ -432,7 +431,7 @@ def partition_ramsey_search(s: int, t: int, r: int, k_max: int,
     if s < 1 or r < 1:
         raise ContractViolation("s and r must be positive")
     return scan_threshold(range(t, k_max + 1), lambda k: _verify_partition_level(
-        s, t, r, k, node_guard, key_guard, workers))
+        s, t, r, k, node_guard, workers))
 
 
 # -- the two-extension counterexample demo ----------------------------------------------

@@ -257,8 +257,7 @@ def _subsets_within(n: int, l: int, m: int) -> dict[tuple[int, ...], list[tuple[
     return {outer: list(combinations(outer, m)) for outer in combinations(range(n), l)}
 
 
-def find_monochromatic_subgrid(n: int, t: int, m: int, l: int, coloring: Coloring,
-                               guard_structures: int = STRUCTURE_GUARD
+def find_monochromatic_subgrid(n: int, t: int, m: int, l: int, coloring: Coloring
                                ) -> Optional[MonoWitness]:
     """First l^t subgrid whose m^t subgrids all share a color, else None.
 
@@ -267,10 +266,10 @@ def find_monochromatic_subgrid(n: int, t: int, m: int, l: int, coloring: Colorin
     """
     if coloring.kind != KIND_SUBGRID:
         raise ContractViolation("subgrid search expects a subgrid coloring")
-    if not 1 <= m <= l <= n:
-        raise ContractViolation("need 1 <= m <= l <= n")
+    if t < 1 or not 1 <= m <= l <= n:
+        raise ContractViolation(f"need t >= 1 and 1 <= m <= l <= n, got {(t, m, l, n)}")
     work = math.comb(n, l) ** t * math.comb(l, m) ** t
-    if work > guard_structures:
+    if work > STRUCTURE_GUARD:
         raise GuardExceeded(f"subgrid scan of {work} cells exceeds guard")
     table = _subsets_within(n, l, m)
     color_of = coloring.color_of
@@ -363,16 +362,14 @@ def find_monochromatic_copy(q: Poset, p: Poset, coloring: Coloring,
 
 def search_counterexample(num_keys: int, structures: Sequence[tuple[int, ...]], r: int,
                           node_guard: int = NODE_GUARD,
-                          prefix: Sequence[tuple[int, int]] = (),
                           vertices: Optional[int] = None) -> Optional[tuple[int, ...]]:
     """A coloring of 0..num_keys-1 leaving no structure monochromatic, or None.
 
     Each structure is a set of distinct keys. Deterministic: keys are branched
-    in index order, colors in increasing order, and a search that starts from
-    nothing pins its first key to color 1 (color permutations act on the
-    counterexample space). ``prefix`` pins initial (key, color) choices. A
-    node is one attempt of a color not forbidden on its key; past
-    ``node_guard`` nodes the search raises GuardExceeded.
+    in index order, colors in increasing order, and the first key is pinned
+    to color 1 (color permutations act on the counterexample space). A node
+    is one attempt of a color not forbidden on its key; past ``node_guard``
+    nodes the search raises GuardExceeded.
 
     The state is a few big ints over the keys: ``assigned``, ``col[c]`` (keys
     colored c) and ``forb[c]`` (keys where c is forbidden), and each structure
@@ -391,9 +388,9 @@ def search_counterexample(num_keys: int, structures: Sequence[tuple[int, ...]], 
     ``vertices`` = n declares the keys to be the edges of K_n, key i being the
     i-th pair of ``combinations(range(n), 2)``, with structures that every
     permutation of the n vertices maps onto themselves. The search then also
-    breaks the vertex symmetry (see ``_lex_leader``) and cannot take a prefix.
+    breaks the vertex symmetry (see ``_lex_leader``).
     """
-    return next(_Engine(num_keys, structures, r, vertices).walk(node_guard, prefix))[2]
+    return next(_Engine(num_keys, structures, r, vertices).walk(node_guard))[2]
 
 
 class _NodeGuard(GuardExceeded):
@@ -473,12 +470,12 @@ def _lex_leader(n: int, colors: range):
 class _Engine:
     """``search_counterexample``'s walk over one instance, its index built once.
 
-    ``walk(node_guard, prefix=(), split=None, state=None)`` searches depth
-    first from ``state`` (default: nothing colored) after ``prefix``. In
-    search order it yields ``(nodes, state, coloring)`` for each complete
-    coloring and, given ``split``, ``(nodes, state, None)`` for each live state
-    ``split`` branchings down, whose subtree it skips; then ``(nodes, None,
-    None)``. ``nodes`` counts the nodes so far; a state is (assigned, col, forb).
+    ``walk(node_guard, split=None, state=None)`` searches depth first from
+    ``state`` (default: nothing colored). In search order it yields ``(nodes,
+    state, coloring)`` for each complete coloring and, given ``split``,
+    ``(nodes, state, None)`` for each live state ``split`` branchings down,
+    whose subtree it skips; then ``(nodes, None, None)``. ``nodes`` counts the
+    nodes so far; a state is (assigned, col, forb).
 
     With ``vertices`` the walk keeps ``_lex_leader``'s constraints: a key is
     branched only on the colors they admit, and a state whose propagation
@@ -587,13 +584,8 @@ class _Engine:
 
         tries, passes = (None, None) if vertices is None else _lex_leader(vertices, colors)
 
-        def walk(node_guard, prefix=(), split=None, state=None):
-            if prefix and tries:
-                raise ContractViolation("a prefix may break the lex-leader constraints")
+        def walk(node_guard, split=None, state=None):
             assigned, col, forb = state or (-1 if empty else 0, [0] * (r + 1), [0] * (r + 1))
-            for k, c in prefix:
-                if assigned >= 0:
-                    assigned = propagate(assigned, col, forb, k, c)
             full = (1 << num_keys) - 1
             # A frame: (the lowest uncolored key, its bit, its colors left to try, the
             # state before it). Only a walk that starts from nothing pins its first key,
@@ -726,6 +718,13 @@ class Verdict:
         return self.status == "true"
 
 
+def index_structures(keys: Sequence, groups: Iterable[Iterable]) -> list[tuple[int, ...]]:
+    """Each group of keys as the sorted tuple of their indices in ``keys``, in
+    first-seen order with repeats dropped: the structures ``run_engine`` takes."""
+    index = {key: i for i, key in enumerate(keys)}
+    return list(dict.fromkeys(tuple(sorted(index[key] for key in group)) for group in groups))
+
+
 def run_engine(keys: Sequence, structures, r: int, kind: str,
                node_guard: int, workers: int, vertices: Optional[int] = None) -> Verdict:
     """The verdict on structures over ``keys``: "true" when every r-coloring
@@ -760,24 +759,14 @@ def run_engine(keys: Sequence, structures, r: int, kind: str,
 
 
 def verify_comparability_ramsey(p: Poset, q: Poset, r: int, *,
-                                guard_copies: int = COPY_GUARD,
                                 node_guard: int = NODE_GUARD,
                                 workers: int = 1) -> Verdict:
     """True iff every r-coloring of q's comparabilities has a mono copy of p."""
     keys = comparability_keys(q)
-    key_index = {key: i for i, key in enumerate(keys)}
-    copies = enumerate_induced_copy_sets(q, p, guard_copies=guard_copies)
-    structures = []
-    seen = set()
-    for elements in copies:
-        struct = []
-        for a, b in combinations(elements, 2):
-            if q.comparable(a, b):
-                struct.append(key_index[(a, b) if q.lt(a, b) else (b, a)])
-        key = tuple(sorted(struct))
-        if key not in seen:
-            seen.add(key)
-            structures.append(key)
+    structures = index_structures(keys, (
+        [(a, b) if q.lt(a, b) else (b, a)
+         for a, b in combinations(elements, 2) if q.comparable(a, b)]
+        for elements in enumerate_induced_copy_sets(q, p)))
     # On a chain the keys are K_n's edges, and every permutation of the
     # elements maps the copies of p onto copies of p.
     vertices = q.n if keys == tuple(combinations(range(q.n), 2)) else None
@@ -786,42 +775,40 @@ def verify_comparability_ramsey(p: Poset, q: Poset, r: int, *,
 
 
 def verify_grid_ramsey(kind: str, t: int, r: int, m: int, l: int, n: int, *,
-                       guard_structures: int = STRUCTURE_GUARD,
-                       guard_copies: int = COPY_GUARD,
                        node_guard: int = NODE_GUARD,
                        workers: int = 1) -> Verdict:
     """Subgrid or subposet-copy Ramsey verification on n^t at sizes (m, l)."""
-    if not 1 <= m <= l <= n:
-        raise ContractViolation("need 1 <= m <= l <= n")
+    if t < 1 or not 1 <= m <= l <= n:
+        raise ContractViolation(f"need t >= 1 and 1 <= m <= l <= n, got {(t, m, l, n)}")
     if kind == KIND_SUBGRID:
         work = math.comb(n, l) ** t * math.comb(l, m) ** t
-        if work > guard_structures:
+        if work > STRUCTURE_GUARD:
             return Verdict("inconclusive",
                            reason=f"subgrid structure universe {work} exceeds guard")
         keys = list(iproduct(combinations(range(n), m), repeat=t))
-        key_index = {key: i for i, key in enumerate(keys)}
         table = _subsets_within(n, l, m)
-        structures = [tuple(key_index[inner]
-                            for inner in iproduct(*[table[axis] for axis in outer]))
-                      for outer in iproduct(table, repeat=t)]
+        structures = index_structures(keys, (iproduct(*[table[axis] for axis in outer])
+                                             for outer in iproduct(table, repeat=t)))
         return run_engine(keys, structures, r, KIND_SUBGRID, node_guard, workers)
     if kind in (KIND_SUBPOSET, "subposet"):
-        ambient = grid(n, t)
-        small = grid(m, t)
-        large = grid(l, t)
+        # A set induces m^t in n^t exactly when it does so in any hull holding
+        # it, so a hull's keys are the keys inside it: looked up by their first
+        # and last element (keys are sorted), both of which lie in the hull.
+        ambient, small, large = grid(n, t), grid(m, t), grid(l, t)
         try:
-            keys = enumerate_induced_copy_sets(ambient, small, guard_copies=guard_copies)
-            key_index = {key: i for i, key in enumerate(keys)}
-            structures = []
-            seen = set()
-            for hull in enumerate_induced_copy_sets(ambient, large,
-                                                    guard_copies=guard_copies):
-                inner = enumerate_induced_copy_sets(ambient, small, within=hull,
-                                                    guard_copies=guard_copies)
-                struct = tuple(sorted(key_index[e] for e in inner))
-                if struct not in seen:
-                    seen.add(struct)
-                    structures.append(struct)
+            keys = enumerate_induced_copy_sets(ambient, small)
+            by_ends = {}
+            for key in keys:
+                by_ends.setdefault((key[0], key[-1]), []).append(key)
+
+            def inside(hull):
+                _check_deadline()
+                members = set(hull)
+                return [key for i, low in enumerate(hull) for high in hull[i:]
+                        for key in by_ends.get((low, high), ()) if members.issuperset(key)]
+
+            structures = index_structures(keys, map(
+                inside, enumerate_induced_copy_sets(ambient, large)))
         except GuardExceeded as exc:
             return Verdict("inconclusive", reason=str(exc))
         return run_engine(keys, structures, r, KIND_SUBPOSET, node_guard, workers)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gridlab import cli
 from gridlab.fileio import make_certificate, save_certificate, save_graph, save_poset
 from gridlab.graphs import Graph
@@ -70,6 +72,32 @@ def test_usage_and_input_errors(tmp_path):
     bad = tmp_path / "bad.poset"
     bad.write_text("{not json")
     assert cli.run(["poset", "info", str(bad)]).exit_code == 65
+
+
+def test_subgrid_verify_rejects_t_below_one():
+    result = cli.run(["ramsey", "verify", "--kind", "subgrid", "--t", "0", "--r", "2",
+                      "--m", "1", "--l", "2", "--n", "4"])
+    assert (result.exit_code, result.output) == (
+        65, "input error: need t >= 1 and 1 <= m <= l <= n, got (0, 1, 2, 4)")
+
+
+@pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
+def test_a_bad_worker_count_is_a_usage_error(monkeypatch, value):
+    monkeypatch.delenv("GRIDLAB_WORKERS", raising=False)
+    flag = cli.run(["--workers", value, "grid", "core", "--s", "2"])
+    assert flag.exit_code == 64
+    assert flag.output == ("usage error: argument --workers: "
+                           f"expected a positive integer, got {value!r}")
+    monkeypatch.setenv("GRIDLAB_WORKERS", value)
+    assert cli.run(["grid", "core", "--s", "2"]) == flag
+    assert cli.main(["grid", "core", "--s", "2"]) == 64  # no traceback, no exit 70
+
+
+def test_the_worker_count_comes_from_the_environment(monkeypatch):
+    monkeypatch.setenv("GRIDLAB_WORKERS", "3")
+    assert cli._build_parser().parse_args(["grid", "core", "--s", "2"]).workers == 3
+    monkeypatch.delenv("GRIDLAB_WORKERS")
+    assert cli._build_parser().parse_args(["grid", "core", "--s", "2"]).workers == 1
 
 
 def test_poset_commands(tmp_path):

@@ -24,7 +24,9 @@ from gridlab.ramsey import (
     KIND_COMPARABILITY,
     KIND_SUBGRID,
     KIND_SUBPOSET,
+    enumerate_induced_copy_sets,
     find_monochromatic_copy,
+    index_structures,
     min_ramsey_n,
     run_engine,
     search_counterexample,
@@ -33,13 +35,10 @@ from gridlab.ramsey import (
 )
 
 
-def _first_good_coloring(num_keys, structures, r, prefix):
-    """Lexicographically first coloring that agrees with prefix and leaves no
-    structure monochromatic, by enumerating all r^num_keys colorings."""
-    pinned = dict(prefix)
+def _first_good_coloring(num_keys, structures, r):
+    """Lexicographically first coloring that leaves no structure
+    monochromatic, by enumerating all r^num_keys colorings."""
     for colors in product(range(1, r + 1), repeat=num_keys):
-        if any(colors[k] != c for k, c in pinned.items()):
-            continue
         if all(len({colors[k] for k in s}) > 1 for s in structures):
             return colors
     return None
@@ -51,23 +50,19 @@ def _instances(draw):
     r = draw(st.integers(1, 3))
     keys = st.sets(st.integers(0, max(num_keys - 1, 0)), max_size=num_keys)
     structures = [tuple(sorted(s)) for s in draw(st.lists(keys, max_size=12))]
-    prefix = ()
-    if num_keys:
-        pinned = draw(st.sets(st.integers(0, num_keys - 1), max_size=3))
-        prefix = tuple((k, draw(st.integers(1, r))) for k in sorted(pinned))
-    return num_keys, structures, r, prefix
+    return num_keys, structures, r
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_instances())
 def test_engine_matches_brute_force(instance):
-    num_keys, structures, r, prefix = instance
-    got = search_counterexample(num_keys, structures, r, prefix=prefix)
+    num_keys, structures, r = instance
+    got = search_counterexample(num_keys, structures, r)
     # Branching in key and color order behind sound propagation finds the
     # lexicographically first good coloring; pinning the first key to color 1
-    # when there is no prefix keeps it, since a color permutation maps any
-    # good coloring to one that starts with color 1.
-    assert got == _first_good_coloring(num_keys, structures, r, prefix)
+    # keeps it, since a color permutation maps any good coloring to one that
+    # starts with color 1.
+    assert got == _first_good_coloring(num_keys, structures, r)
     if got is not None:
         assert all(len({got[k] for k in s}) > 1 for s in structures)
 
@@ -219,9 +214,9 @@ def _sharded_instances(draw):
     return num_keys, [tuple(sorted(s)) for s in structures], r, guard
 
 
-def _outcome(search, *args):
+def _outcome(search, *args, **kwargs):
     try:
-        return search(*args)
+        return search(*args, **kwargs)
     except GuardExceeded:
         return "guard"
 
@@ -295,12 +290,12 @@ class _InlinePool:
 
 
 def _engine_inputs(monkeypatch, verify):
-    """The (num_keys, structures, r, vertices) that verify hands to the engine."""
+    """The (keys, structures, r, vertices) that verify hands to the engine."""
     seen = []
     with monkeypatch.context() as patch:
         patch.setattr(ramsey, "run_engine",
                       lambda keys, structures, r, *rest, vertices=None:
-                      seen.append((len(keys), structures, r, vertices)))
+                      seen.append((list(keys), structures, r, vertices)))
         verify()
     return seen[0]
 
@@ -313,10 +308,12 @@ def _engine_inputs(monkeypatch, verify):
     (lambda: _chain(6, r=2), 8, False),
 ])
 def test_shard_accounting_at_every_guard(monkeypatch, verify, finish, found):
-    num_keys, structures, r, vertices = _engine_inputs(monkeypatch, verify)
+    keys, structures, r, vertices = _engine_inputs(monkeypatch, verify)
+    num_keys = len(keys)
     monkeypatch.setattr(ramsey, "ProcessPoolExecutor", _InlinePool)
     for guard in range(finish + 1):
-        serial = _outcome(search_counterexample, num_keys, structures, r, guard, (), vertices)
+        serial = _outcome(search_counterexample, num_keys, structures, r, guard,
+                          vertices=vertices)
         if guard < finish:
             assert serial == "guard"
         for workers in (2, 4):
@@ -373,8 +370,8 @@ def test_symmetry_breaking_keeps_the_plain_search_result(monkeypatch, l, top, r)
     # image of it under S_n x S_r is good too, so it is the least of its orbit
     # and keeps the lex-leader constraints: both searches return it.
     for n in range(l, top + 1):
-        num_keys, structures, _, vertices = _engine_inputs(
-            monkeypatch, lambda: _chain(n, r=r, l=l))
+        keys, structures, _, vertices = _engine_inputs(monkeypatch, lambda: _chain(n, r=r, l=l))
+        num_keys = len(keys)
         assert vertices == n
         plain = search_counterexample(num_keys, structures, r)
         assert search_counterexample(num_keys, structures, r, vertices=n) == plain, n
@@ -431,7 +428,40 @@ def test_a_vertex_symmetry_the_structures_lack_is_refused(n, structures, vertice
         run_engine(keys, structures, 2, KIND_COMPARABILITY, 1000, 1, vertices=vertices)
 
 
-def test_a_prefix_is_refused_under_symmetry_breaking():
-    # Pinned colors need not keep the lex-leader constraints.
-    with pytest.raises(ContractViolation):
-        search_counterexample(3, [(0, 1, 2)], 2, prefix=[(0, 2)], vertices=3)
+def test_index_structures_sorts_each_group_and_drops_repeats():
+    keys = ["a", "b", "c", "d"]
+    groups = [("c", "a"), ("d",), ["a", "c"], ("b", "d", "a"), ("d",)]
+    assert index_structures(keys, groups) == [(0, 2), (3,), (0, 1, 3)]
+
+
+def _subposet_reference(t, m, l, n):
+    """The subposet kind's keys and structures, each hull's keys found by an
+    induced-copy search inside the hull."""
+    ambient, small = grid(n, t), grid(m, t)
+    keys = enumerate_induced_copy_sets(ambient, small)
+    index = {key: i for i, key in enumerate(keys)}
+    structures = []
+    for hull in enumerate_induced_copy_sets(ambient, grid(l, t)):
+        inner = enumerate_induced_copy_sets(ambient, small, within=hull)
+        struct = tuple(sorted(index[e] for e in inner))
+        if struct not in structures:
+            structures.append(struct)
+    return keys, structures
+
+
+@pytest.mark.parametrize("t, m, l, n", [
+    (2, 1, 2, 6), (2, 1, 2, 4), (2, 2, 3, 4), (2, 2, 3, 5), (1, 2, 3, 8), (3, 1, 2, 3),
+    (2, 1, 3, 5), (1, 1, 1, 3), (2, 2, 2, 3), (2, 2, 4, 5), (3, 2, 3, 3)])
+def test_subposet_hulls_filled_by_lookup_match_the_kernel(monkeypatch, t, m, l, n):
+    keys, structures, _, _ = _engine_inputs(
+        monkeypatch, lambda: verify_grid_ramsey(KIND_SUBPOSET, t, 2, m, l, n))
+    assert (keys, structures) == _subposet_reference(t, m, l, n)
+
+
+def test_subposet_hull_lookup_keeps_the_time_limit(monkeypatch):
+    # The copy searches of this small build check the clock only every 4096
+    # nodes, so an expired limit is first seen while the hulls are filled.
+    monkeypatch.setattr(ramsey, "run_engine", lambda *args, **kwargs: pytest.fail("built"))
+    with ramsey.time_limit(0):
+        verdict = verify_grid_ramsey(KIND_SUBPOSET, 2, 2, 1, 2, 4)
+    assert (verdict.status, verdict.reason) == ("inconclusive", "time limit exceeded")

@@ -142,6 +142,11 @@ def test_find_monochromatic_subgrid_pigeonhole():
     assert w.subgrid.axes == ((0, 2),) and w.color == 1
 
 
+def test_find_monochromatic_subgrid_needs_a_dimension():
+    with pytest.raises(ContractViolation, match="t >= 1"):
+        find_monochromatic_subgrid(4, 0, 1, 2, FunctionColoring(KIND_SUBGRID, 2, lambda key: 1))
+
+
 def test_rectangle_escape_at_4_and_forced_at_5():
     for r1, r2 in combinations(range(4), 2):
         for c1, c2 in combinations(range(4), 2):
