@@ -83,12 +83,16 @@ def _workers(text: str) -> int:
     return int(text)
 
 
+def _env_workers() -> str:
+    return os.environ.get("GRIDLAB_WORKERS", "1")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gridlab", description=__doc__)
     # A string default is converted by argparse, so a bad GRIDLAB_WORKERS is a
     # usage error like a bad --workers.
     parser.add_argument("--workers", type=_workers,
-                        default=os.environ.get("GRIDLAB_WORKERS", "1"),
+                        default=_env_workers(),
                         help="parallel workers for counterexample searches "
                              "(default: GRIDLAB_WORKERS or 1)")
     sub = parser.add_subparsers(dest="group", required=True)
@@ -468,15 +472,31 @@ def _cmd_graph(args, argv) -> RunResult:
 
 def _cmd_verify(args, argv) -> RunResult:
     from .fileio import load_certificate
-    cert = load_certificate(args.certificate)  # checks the digest against the body
-    rerun = run(cert["command"])
+    cert = load_certificate(args.certificate)  # checks the digest against the file's text
+    try:
+        rerun = run(cert["command"])
+    except Exception:
+        _confirm_digest(args.certificate, cert)
+        raise
+    if rerun.certificate is not None and rerun.certificate["digest"] == cert["digest"]:
+        return RunResult(EX_TRUE, "certificate reproduced bit-exactly")
+    _confirm_digest(args.certificate, cert)
     if rerun.certificate is None:
         if rerun.exit_code not in (EX_TRUE, EX_FALSE):
             return rerun  # a failed re-run keeps its own exit code, never "false"
         return RunResult(EX_DATAERR, "re-run produced no certificate")
-    if rerun.certificate["digest"] == cert["digest"]:
-        return RunResult(EX_TRUE, "certificate reproduced bit-exactly")
     return RunResult(EX_FALSE, "re-run did not reproduce the certificate")
+
+
+def _confirm_digest(path, cert) -> None:
+    """Any answer but "reproduced" needs the payload's own digest to match.
+
+    ``load_certificate`` also accepts a file in another layout whose digest is
+    the hash of its own text; its payload was altered, so it answers 65 here.
+    """
+    from .fileio import certificate_digest
+    if certificate_digest(cert) != cert["digest"]:
+        raise InvalidInput(f"{path}: digest mismatch; payload was altered")
 
 
 def _cmd_acceptance(args, argv) -> RunResult:
@@ -495,9 +515,16 @@ def _certificate(command, parameters, verdict, witness) -> dict:
     return make_certificate(command, parameters, verdict, witness)
 
 
+_PARSER: Optional[_Parser] = None
+
+
 def run(argv: Sequence[str]) -> RunResult:
     """Parse and execute; returns output, exit code, and any certificate."""
-    parser = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    parser = _PARSER
+    parser.set_defaults(workers=_env_workers())  # read per call, like a fresh parser
     try:
         args = parser.parse_args(list(argv))
         handler = {

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -31,20 +32,27 @@ PathLike = Union[str, Path]
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    # Payloads are trees of fresh lists and dicts, so the cycle check is waste.
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
-def _read_json(path: PathLike) -> dict:
+def _read_json_text(path: PathLike) -> tuple[str, dict]:
+    """The file's text and the object it holds."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            text = fh.read()
+        payload = json.loads(text)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise InvalidInput(f"{path}: top-level value must be an object")
     if payload.get("format_version") != FORMAT_VERSION:
         raise InvalidInput(f"{path}: unsupported format_version")
-    return payload
+    return text, payload
+
+
+def _read_json(path: PathLike) -> dict:
+    return _read_json_text(path)[1]
 
 
 def _write_json(path: PathLike, payload: Mapping) -> None:
@@ -134,15 +142,6 @@ def load_graph(path: PathLike) -> Graph:
 # -- grid colorings ---------------------------------------------------------------
 
 
-def _key_to_json(kind: str, key, g: GridPoset):
-    if kind == KIND_COMPARABILITY:
-        a, b = key
-        return [list(g.coords(a)), list(g.coords(b))]
-    if kind == KIND_SUBGRID:
-        return [list(axis) for axis in key]
-    return [list(g.coords(e)) for e in key]
-
-
 def _key_from_json(kind: str, raw, g: GridPoset):
     if kind == KIND_COMPARABILITY:
         a, b = raw
@@ -153,8 +152,15 @@ def _key_from_json(kind: str, raw, g: GridPoset):
 
 
 def coloring_payload(coloring: MapColoring, g: GridPoset) -> dict:
-    items = [[_key_to_json(coloring.kind, key, g), color]
-             for key, color in coloring.items()]
+    # A key is a tuple of axes or of grid elements. Each distinct one becomes
+    # one JSON list, shared by every key that holds it: there are far fewer of
+    # them than keys.
+    parts = set(chain.from_iterable(coloring.assignment))
+    if coloring.kind == KIND_SUBGRID:
+        part = {axis: list(axis) for axis in parts}
+    else:
+        part = {e: list(g.coords(e)) for e in parts}
+    items = [[[part[x] for x in key], color] for key, color in coloring.items()]
     return {"format_version": FORMAT_VERSION, "kind": "coloring",
             "coloring_kind": coloring.kind, "r": coloring.r,
             "n": g.k, "t": g.t, "assignment": items}
@@ -174,12 +180,21 @@ def load_coloring(path: PathLike, g: GridPoset) -> MapColoring:
     if payload.get("n") != g.k or payload.get("t") != g.t:
         raise InvalidInput(f"{path}: coloring is for a {payload.get('n')}^"
                            f"{payload.get('t')} grid")
+    r = payload.get("r")
+    if type(r) is not int:  # bool is an int subclass, and not a color count
+        raise InvalidInput(f"{path}: 'r' must be an integer, got {r!r}")
     try:
         assignment = {
             _key_from_json(kind, raw, g): color
             for raw, color in payload.get("assignment", ())}
-        return MapColoring(kind, int(payload["r"]), assignment)
-    except (ContractViolation, KeyError, TypeError, ValueError) as exc:
+    except (ContractViolation, TypeError, ValueError) as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
+    for color in assignment.values():
+        if type(color) is not int:
+            raise InvalidInput(f"{path}: color {color!r} is not an integer")
+    try:
+        return MapColoring(kind, r, assignment)
+    except ContractViolation as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
 
 
@@ -229,12 +244,33 @@ def save_certificate(path: PathLike, cert: Mapping) -> None:
     _write_json(path, cert)
 
 
+def _text_digest(text: str, digest) -> Optional[str]:
+    """SHA-256 of a canonical certificate file's text without its digest entry.
+
+    In canonical layout that text is the digested body byte for byte, and the
+    top-level entry is the first ``"digest":`` key: only ``"command"``, a list
+    of strings, sorts before it. None when the entry is not there as written.
+    """
+    head, entry, tail = text.removesuffix("\n").partition(f'"digest":"{digest}",')
+    if not entry:
+        return None
+    return hashlib.sha256((head + tail).encode()).hexdigest()
+
+
 def load_certificate(path: PathLike) -> dict:
-    payload = _read_json(path)
+    """Load a certificate whose digest matches its body.
+
+    The digest is checked over the file's own text first; only a file in
+    another layout (indented, reordered) is re-encoded to check it. A file
+    that digests its own non-canonical text passes here, so a caller that
+    answers from the digest must confirm ``certificate_digest`` first.
+    """
+    text, payload = _read_json_text(path)
     if payload.get("kind") != "certificate":
         raise InvalidInput(f"{path}: not a certificate file")
     if "digest" not in payload:
         raise InvalidInput(f"{path}: certificate has no digest")
-    if certificate_digest(payload) != payload["digest"]:
+    digest = payload["digest"]
+    if _text_digest(text, digest) != digest and certificate_digest(payload) != digest:
         raise InvalidInput(f"{path}: digest mismatch; payload was altered")
     return payload

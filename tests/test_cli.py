@@ -100,6 +100,25 @@ def test_the_worker_count_comes_from_the_environment(monkeypatch):
     assert cli._build_parser().parse_args(["grid", "core", "--s", "2"]).workers == 1
 
 
+def test_the_parser_built_once_still_reads_the_environment_per_call(monkeypatch):
+    seen = []
+
+    def record(args, argv):
+        seen.append(args.workers)
+        return cli.RunResult(0)
+
+    monkeypatch.setattr(cli, "_cmd_grid", record)
+    argv = ["grid", "core", "--s", "2"]
+    monkeypatch.setenv("GRIDLAB_WORKERS", "2")
+    assert cli.run(argv).exit_code == 0
+    monkeypatch.delenv("GRIDLAB_WORKERS")
+    assert cli.run(argv).exit_code == 0
+    monkeypatch.setenv("GRIDLAB_WORKERS", "two")
+    assert cli.run(argv).exit_code == 64
+    assert cli.run(["--workers", "3"] + argv).exit_code == 0  # the flag overrides it
+    assert seen == [2, 1, 3]
+
+
 def test_poset_commands(tmp_path):
     path = tmp_path / "v.poset"
     save_poset(path, Poset.from_covers(3, [(0, 1), (0, 2)], labels=["r", "a", "b"]))

@@ -1,13 +1,18 @@
 """File formats: round trips, validation failures, certificate digests."""
 
 import json
+import random
+from itertools import combinations
 
 import pytest
 
+from gridlab import fileio
 from gridlab.booldim import BooleanRealizer
 from gridlab.errors import InvalidInput
 from gridlab.fileio import (
+    canonical_json,
     certificate_digest,
+    coloring_payload,
     load_boolean_realizer,
     load_certificate,
     load_coloring,
@@ -23,8 +28,8 @@ from gridlab.fileio import (
 from gridlab.graphs import Graph
 from gridlab.grids import grid
 from gridlab.poset import Poset, is_isomorphic, make_chain
-from gridlab.ramsey import KIND_COMPARABILITY, KIND_SUBGRID, MapColoring, \
-    comparability_keys
+from gridlab.ramsey import KIND_COMPARABILITY, KIND_SUBGRID, KIND_SUBPOSET, MapColoring, \
+    comparability_keys, hash_coloring, reduce_subposet_to_subgrid
 
 
 def test_poset_round_trip(tmp_path):
@@ -110,11 +115,85 @@ def test_certificate_digest_and_tamper(tmp_path):
     path = tmp_path / "cert.json"
     save_certificate(path, cert)
     assert load_certificate(path) == cert
+    path.write_text(json.dumps(cert, indent=2))  # another layout is re-encoded
+    assert load_certificate(path) == cert
     tampered = dict(cert)
     tampered["verdict"] = "not-core"
     save_certificate(path, tampered)
     with pytest.raises(InvalidInput):
         load_certificate(path)
+    path.write_text(json.dumps(tampered, indent=2))
+    with pytest.raises(InvalidInput, match="digest mismatch"):
+        load_certificate(path)
+
+
+def test_a_file_that_is_not_utf8_is_bad_input(tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_bytes(b'{"kind": "certificate", "verdict": "\xff"}')
+    with pytest.raises(InvalidInput, match="cannot read"):
+        load_certificate(path)
+
+
+def test_a_canonical_certificate_loads_without_re_encoding(tmp_path, monkeypatch):
+    cert = make_certificate(["grid", "core", "--s", "2"], {"s": 2, "digest": "x"}, "core",
+                            [[0, 0], [1, 2], [2, 1], [3, 3]])
+    path = tmp_path / "cert.json"
+    save_certificate(path, cert)
+
+    def re_encode(payload):
+        raise AssertionError("a canonical file is checked over its own text")
+
+    monkeypatch.setattr(fileio, "certificate_digest", re_encode)
+    assert load_certificate(path) == cert
+
+
+def _grid_coords(e, g):
+    """Coordinates of grid element e, the leftmost coordinate most significant."""
+    out = []
+    for _ in range(g.t):
+        e, c = divmod(e, g.k)
+        out.insert(0, c)
+    return out
+
+
+def _reference_assignment(coloring, g):
+    """The coloring file's assignment: lists per axis, coordinates per element."""
+    out = []
+    for key, color in sorted(coloring.assignment.items()):
+        if coloring.kind == KIND_SUBGRID:
+            raw = [list(axis) for axis in key]
+        else:
+            raw = [_grid_coords(e, g) for e in key]
+        out.append([raw, color])
+    return out
+
+
+def _comparability_t3():
+    g = grid(3, 3)
+    rng = random.Random(3)
+    return MapColoring(KIND_COMPARABILITY, 3,
+                       {k: rng.randint(1, 3) for k in comparability_keys(g)}), g
+
+
+def _subgrid():
+    g = grid(7, 2)
+    return reduce_subposet_to_subgrid(hash_coloring(KIND_SUBPOSET, 2, 5), g, 2), g
+
+
+def _subposet():
+    g = grid(3, 2)
+    rng = random.Random(4)
+    return MapColoring(KIND_SUBPOSET, 2,
+                       {key: rng.randint(1, 2) for key in combinations(range(9), 4)}), g
+
+
+@pytest.mark.parametrize("make", [_comparability_t3, _subgrid, _subposet],
+                         ids=["comparability-t3", "subgrid", "subposet"])
+def test_coloring_payload_matches_a_per_key_encoder(make):
+    coloring, g = make()
+    payload = coloring_payload(coloring, g)
+    assert payload["assignment"] == _reference_assignment(coloring, g)
+    assert json.loads(canonical_json(payload)) == payload
 
 
 def test_save_poset_emits_cover_relation(tmp_path):

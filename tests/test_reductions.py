@@ -12,7 +12,7 @@ import pytest
 
 from gridlab import cli, ramsey
 from gridlab.errors import ContractViolation
-from gridlab.fileio import certificate_digest, save_coloring
+from gridlab.fileio import certificate_digest, save_certificate, save_coloring
 from gridlab.grids import Subgrid, core_elements, enumerate_subgrids, grid, subgrids_within
 from gridlab.ramsey import (
     KIND_COMPARABILITY,
@@ -307,6 +307,48 @@ def test_verify_round_trip_of_a_reduce_certificate(tmp_path):
     cert["verdict"] = "tampered"
     out.write_text(json.dumps(cert))
     assert cli.run(["verify", str(out)]).exit_code == 65
+
+
+def test_verify_checks_the_digest_over_the_file_and_answers_as_before(tmp_path):
+    canonical, pretty = tmp_path / "reduce.cert.json", tmp_path / "pretty.json"
+    cert = cli.run(_REDUCE + ["subposet", "--n", "6", "--m", "2", "--seed", "3"]).certificate
+    save_certificate(canonical, cert)
+    assert cli.run(["verify", str(canonical)]).exit_code == 0
+    pretty.write_text(json.dumps(cert, indent=2))
+    assert cli.run(["verify", str(pretty)]).exit_code == 0
+    # The verdict edited in place, the digest left as it was.
+    text = canonical.read_text()
+    canonical.write_text(text.replace('"verdict":"reduced"', '"verdict":"edited"'))
+    assert cli.run(["verify", str(canonical)]).exit_code == 65
+    # A file in another layout can carry the SHA-256 of its own text: it passes
+    # the check on load, and the payload's digest still answers 65, not 1.
+    # With its command, the re-run does not reproduce it; without, it fails.
+    mismatch = (65, f"input error: {pretty}: digest mismatch; payload was altered")
+    for dropped in (("digest",), ("digest", "command")):
+        rest = json.dumps({k: v for k, v in cert.items() if k not in dropped}, indent=1)[1:]
+        own = hashlib.sha256(("{" + rest).encode()).hexdigest()
+        pretty.write_text("{" + f'"digest":"{own}",' + rest + "\n")
+        result = cli.run(["verify", str(pretty)])
+        assert (result.exit_code, result.output) == mismatch
+
+
+@pytest.mark.parametrize("field, value", [
+    ("color", 1.5), ("color", True), ("r", 2.7), ("r", "2")])
+def test_reduce_rejects_a_coloring_file_with_non_integer_colors_or_r(tmp_path, field, value):
+    path = tmp_path / "coloring.json"
+    g = grid(3, 2)
+    save_coloring(path, MapColoring(KIND_COMPARABILITY, 2,
+                                    {k: 1 for k in comparability_keys(g)}), g)
+    payload = json.loads(path.read_text())
+    if field == "r":
+        payload["r"] = value
+    else:
+        entry = next(e for e in payload["assignment"] if e[0] == [[0, 0], [1, 1]])
+        entry[1] = value
+    path.write_text(json.dumps(payload))
+    result = cli.run(_REDUCE + ["comparability", "--n", "3", "--coloring", str(path)])
+    assert (result.exit_code, result.certificate) == (65, None)
+    assert "integer" in result.output
 
 
 @pytest.mark.parametrize("m", ["-1", "0"])
