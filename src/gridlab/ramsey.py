@@ -11,8 +11,9 @@ A "structure" is the key set of a candidate monochromatic object. Verifying
 a Ramsey witness means proving no r-coloring leaves every structure
 non-monochromatic; the search backtracks over keys in a fixed deterministic
 order with monochromatic-forcing propagation and first-key color-symmetry
-breaking, and on chain hosts (keys the edges of K_n) with lex-leader
-vertex-symmetry breaking. Guard exhaustion is a distinct inconclusive
+breaking, and with lex-leader symmetry breaking where the instance declares a
+``Symmetry``: the vertices of K_n on chain hosts, the rows and columns of the
+box for cells and rectangles. Guard exhaustion is a distinct inconclusive
 verdict, never False.
 """
 
@@ -157,6 +158,8 @@ def hash_coloring(kind: str, r: int, seed: int, *,
     With ``bias`` > 0, each key takes ``bias_color`` with that probability,
     which keeps monochromatic events reachable in soundness sweeps.
     """
+    if bias > 0.0 and bias_color is not None and not 1 <= bias_color <= r:
+        raise ContractViolation(f"bias color {bias_color} outside 1..{r}")
     bias_prefix = _hash_prefix(seed, "bias")
     color_prefix = _hash_prefix(seed, "color")
 
@@ -167,7 +170,9 @@ def hash_coloring(kind: str, r: int, seed: int, *,
                 return bias_color
         return 1 + _stable_hash(color_prefix, key) % r
 
-    return FunctionColoring(kind, r, fn)
+    coloring = FunctionColoring(kind, r, fn)
+    coloring.color_of = fn  # fn cannot leave 1..r, so it needs no range check
+    return coloring
 
 
 def random_map_coloring(kind: str, keys: Iterable, r: int, rng) -> MapColoring:
@@ -357,12 +362,136 @@ def find_monochromatic_copy(q: Poset, p: Poset, coloring: Coloring,
     return None
 
 
+# -- symmetry declarations -----------------------------------------------------------
+
+
+class Symmetry:
+    """A group of key permutations declared to map the structures onto
+    themselves: ``name`` for the verdict's reason, ``generators`` as key
+    permutations (``perm[k]`` is the image of key k), and ``constraints(colors)``
+    returning the walk's ``(tries, passes)``. ``tries(col, k)`` lists the
+    colors key k may take after the keys below it, colored as in ``col``;
+    ``passes(col, k, assigned)`` says whether keys k, k+1, ... below the lowest
+    uncolored key, colored by propagation, keep the constraints. It pickles as
+    the call that built it, so a worker process rebuilds it.
+    """
+
+    def __init__(self, name: str, generators: list[list[int]],
+                 constraints: Callable[[range], tuple], built_by: tuple):
+        self.name = name
+        self.generators = generators
+        self.constraints = constraints
+        self.built_by = built_by
+
+    def __reduce__(self):
+        return self.built_by
+
+
+def _lex_leader(lex: list, colors: range, counted: Optional[int] = None):
+    """The ``(tries, passes)`` of lex-leader constraints in key order, each
+    the least coloring of an orbit compared with one image (README,
+    "Symmetry declarations"):
+
+    * lex: for each ``(p, a, d)`` in ``lex[k]``, if every key in the mask
+      ``a`` has the color of the key d places above it, color(k) >= color(p);
+    * value precedence: a color c > 1 appears only after c-1 has;
+    * at key ``counted`` (the last key of K_n's row 0), no color is used
+      more often in keys 0..counted than the color before it.
+
+    Each reads only keys below k and k's color. Every key below the cursor
+    keeps them, so the colors used below k are 1..m for some m.
+    """
+    r = len(colors)
+
+    def agree(col: list, a: int, d: int) -> bool:
+        """Whether the keys in ``a`` have the colors of those d places above;
+        colors 1..r-1 decide it, since each of these keys has one color."""
+        up = a << d
+        for c in range(1, r):
+            x = col[c]
+            if (x & a) << d != x & up:
+                return False
+        return True
+
+    def color(col: list, k: int) -> int:
+        bit = 1 << k
+        c = 1
+        while not col[c] & bit:
+            c += 1
+        return c
+
+    def counts_fall(col: list, k: int, c: int) -> bool:
+        below = (1 << k) - 1
+        counts = [(col[cc] & below).bit_count() + (cc == c) for cc in colors]
+        return all(x >= y for x, y in zip(counts, counts[1:]))
+
+    def tries(col: list, k: int):
+        below = (1 << k) - 1
+        top = 1
+        while top < r and col[top] & below:
+            top += 1
+        low = 1
+        for p, a, d in lex[k]:
+            c = color(col, p)
+            if c > low and agree(col, a, d):
+                low = c
+        todo = range(low, min(top, r) + 1)
+        return [c for c in todo if counts_fall(col, k, c)] if k == counted else todo
+
+    def passes(col: list, k: int, assigned: int) -> bool:
+        stop = (~assigned & (assigned + 1)).bit_length() - 1
+        for key in range(k, stop):
+            if color(col, key) not in tries(col, key):
+                return False
+        return True
+
+    return tries, passes
+
+
+def _swap_and_cycle(n: int) -> list[list[int]]:
+    """The transposition (0 1) and the cycle (0 1 ... n-1), which generate S_n."""
+    return [[1, 0, *range(2, n)], [*range(1, n), 0]] if n > 1 else []
+
+
+def vertex_symmetry(n: int) -> Symmetry:
+    """S_n on the edges of K_n, key i being the i-th pair of
+    ``combinations(range(n), 2)``. Lex at (v,u), u-1 > v: if columns u-1
+    and u agree on the rows w < v, color(v,u) >= color(v,u-1)."""
+    edges = list(combinations(range(n), 2))
+    index = {edge: i for i, edge in enumerate(edges)}
+    lex = [((index[v, u - 1], sum(1 << index[w, u - 1] for w in range(v)), 1),)
+           if u - 1 > v else () for v, u in edges]
+    generators = [[index[min(p[a], p[b]), max(p[a], p[b])] for a, b in edges]
+                  for p in _swap_and_cycle(n)]
+    return Symmetry(f"S_{n}", generators,
+                    lambda colors: _lex_leader(lex, colors, n - 2),
+                    (vertex_symmetry, (n,)))
+
+
+def grid_symmetry(a: int, b: int) -> Symmetry:
+    """S_a x S_b on the cells of an a x b box, key i*b + j being cell (i, j).
+    Row lex at (i, j): if rows i-1 and i agree on the columns before j,
+    color(i, j) >= color(i-1, j); column lex: if columns j-1 and j agree on
+    the rows before i, color(i, j) >= color(i, j-1)."""
+    cells = list(iproduct(range(a), range(b)))
+    lex = []
+    for i, j in cells:
+        k = i * b + j
+        row = ((k - b, ((1 << j) - 1) << (k - j - b), b),) if i else ()
+        column = ((k - 1, sum(1 << (w * b + j - 1) for w in range(i)), 1),) if j else ()
+        lex.append(row + column)
+    generators = [[p[i] * b + j for i, j in cells] for p in _swap_and_cycle(a)] + \
+        [[i * b + p[j] for i, j in cells] for p in _swap_and_cycle(b)]
+    return Symmetry(f"S_{a} x S_{b}", generators,
+                    lambda colors: _lex_leader(lex, colors), (grid_symmetry, (a, b)))
+
+
 # -- counterexample-coloring search engine -------------------------------------------
 
 
 def search_counterexample(num_keys: int, structures: Sequence[tuple[int, ...]], r: int,
                           node_guard: int = NODE_GUARD,
-                          vertices: Optional[int] = None) -> Optional[tuple[int, ...]]:
+                          symmetry: Optional[Symmetry] = None) -> Optional[tuple[int, ...]]:
     """A coloring of 0..num_keys-1 leaving no structure monochromatic, or None.
 
     Each structure is a set of distinct keys. Deterministic: keys are branched
@@ -385,86 +514,15 @@ def search_counterexample(num_keys: int, structures: Sequence[tuple[int, ...]], 
     counts make the walk worth, it scans all structures holding k instead.
     Either way propagation reaches the same fixpoint, so nodes do not change.
 
-    ``vertices`` = n declares the keys to be the edges of K_n, key i being the
-    i-th pair of ``combinations(range(n), 2)``, with structures that every
-    permutation of the n vertices maps onto themselves. The search then also
-    breaks the vertex symmetry (see ``_lex_leader``).
+    A ``symmetry`` declares a group of key permutations that maps the
+    structures onto themselves; the search then also breaks it (see
+    ``Symmetry``).
     """
-    return next(_Engine(num_keys, structures, r, vertices).walk(node_guard))[2]
+    return next(_Engine(num_keys, structures, r, symmetry).walk(node_guard))[2]
 
 
 class _NodeGuard(GuardExceeded):
     """The search ran past its node guard."""
-
-
-def _check_vertex_symmetry(n: int, num_keys: int, structures) -> None:
-    """Raise ContractViolation unless the keys are K_n's edges and the
-    transposition (0 1) and the cycle (0 1 ... n-1), which generate S_n, map
-    the structure set onto itself."""
-    edges = list(combinations(range(n), 2))
-    if num_keys != len(edges):
-        raise ContractViolation(f"{num_keys} keys are not the {len(edges)} edges of K_{n}")
-    index = {edge: i for i, edge in enumerate(edges)}
-    given = {frozenset(s) for s in structures}
-    for perm in ([1, 0, *range(2, n)], [*range(1, n), 0]):
-        image = [index[min(perm[a], perm[b]), max(perm[a], perm[b])] for a, b in edges]
-        if {frozenset(image[k] for k in s) for s in given} != given:
-            raise ContractViolation(f"the structures are not invariant under S_{n}")
-
-
-def _lex_leader(n: int, colors: range):
-    """The lex-leader constraints on an r-coloring of K_n's edges in key order.
-
-    Order the colorings as strings over the keys (0,1), (0,2), ..., (n-2,n-1).
-    The least coloring of each orbit of S_n (vertices) x S_r (colors) is no
-    larger than any image of it, so it keeps three constraints, each one
-    compared against one group element:
-
-    (a) at key (v,u) with u-1 > v, if columns u-1 and u agree on every row
-        w < v, then color(v,u) >= color(v,u-1) (the transposition of u-1, u);
-    (b) a color c > 1 appears only after c-1 has (the transposition of c-1, c);
-    (c) row 0 being complete, no color is used more often in it than the one
-        before (a color permutation, then the vertices re-sorted by (a)).
-
-    Each constraint at key k reads only keys below k and k's color. Returns
-    ``(tries, passes)``: ``tries(col, k)`` lists the colors that key k may take
-    after the keys below it, colored as in ``col``; ``passes(col, k, assigned)``
-    says whether keys k, k+1, ... below the lowest uncolored key, colored by
-    propagation, keep the constraints.
-    """
-    edges = list(combinations(range(n), 2))
-    index = {edge: i for i, edge in enumerate(edges)}
-    # above[k]: the keys (w, u-1), w < v, of key (v, u), or None when u-1 == v
-    above = [sum(1 << index[w, u - 1] for w in range(v)) if u - 1 > v else None
-             for v, u in edges]
-    row0 = n - 2  # the last key of row 0
-    r = len(colors)
-
-    def admits(col: list, k: int, c: int) -> bool:
-        below = (1 << k) - 1
-        if c > 1 and not col[c - 1] & below:
-            return False  # (b)
-        a = above[k]
-        if a is not None and any(col[cc] >> (k - 1) & 1 for cc in range(c + 1, r + 1)) \
-                and all((col[cc] & a) << 1 == col[cc] & a << 1 for cc in colors):
-            return False  # (a): color(v,u) < color(v,u-1) under equal columns
-        if k == row0:
-            counts = [(col[cc] & below).bit_count() + (cc == c) for cc in colors]
-            if any(x < y for x, y in zip(counts, counts[1:])):
-                return False  # (c)
-        return True
-
-    def tries(col: list, k: int) -> list:
-        return [c for c in colors if admits(col, k, c)]
-
-    def passes(col: list, k: int, assigned: int) -> bool:
-        stop = (~assigned & (assigned + 1)).bit_length() - 1
-        for key in range(k, stop):
-            if not admits(col, key, next(c for c in colors if col[c] >> key & 1)):
-                return False
-        return True
-
-    return tries, passes
 
 
 class _Engine:
@@ -477,16 +535,24 @@ class _Engine:
     whose subtree it skips; then ``(nodes, None, None)``. ``nodes`` counts the
     nodes so far; a state is (assigned, col, forb).
 
-    With ``vertices`` the walk keeps ``_lex_leader``'s constraints: a key is
-    branched only on the colors they admit, and a state whose propagation
-    colored a key they reject once the cursor passes it is a conflict. Both
-    read only the state, so a shard resumed elsewhere prunes as the serial walk.
+    With a ``symmetry`` the walk keeps its constraints: a key is branched
+    only on the colors they admit, and a state whose propagation colored a
+    key they reject once the cursor passes it is a conflict. Both read only
+    the state, so a shard resumed elsewhere prunes as the serial walk. The
+    declaration is refused with ContractViolation unless each generator maps
+    the structure set onto itself.
     """
 
-    def __init__(self, num_keys: int, structures, r: int, vertices: Optional[int] = None):
-        self.inputs = num_keys, structures, r, vertices
-        if vertices is not None:
-            _check_vertex_symmetry(vertices, num_keys, structures)
+    def __init__(self, num_keys: int, structures, r: int,
+                 symmetry: Optional[Symmetry] = None):
+        self.inputs = num_keys, structures, r, symmetry
+        if symmetry is not None:
+            given = {frozenset(s) for s in structures}
+            for perm in symmetry.generators:
+                if len(perm) != num_keys or \
+                        {frozenset(perm[k] for k in s) for s in given} != given:
+                    raise ContractViolation(f"the structures over {num_keys} keys are not "
+                                            f"invariant under {symmetry.name}")
         empty = not all(structures)  # an empty structure is monochromatic under every coloring
         touching = [[] for _ in range(num_keys)]  # touching[k]: masks of structures holding k
         # pairs[k][j] is pairs[j][k]: the masks of the 3- and 4-key structures holding k and j.
@@ -582,7 +648,7 @@ class _Engine:
         def coloring(col: list) -> tuple[int, ...]:
             return tuple(next(c for c in colors if col[c] >> k & 1) for k in range(num_keys))
 
-        tries, passes = (None, None) if vertices is None else _lex_leader(vertices, colors)
+        tries, passes = (None, None) if symmetry is None else symmetry.constraints(colors)
 
         def walk(node_guard, split=None, state=None):
             assigned, col, forb = state or (-1 if empty else 0, [0] * (r + 1), [0] * (r + 1))
@@ -654,7 +720,8 @@ def _shard_worker(state, budget: int):
 
 
 def _parallel_counterexample(num_keys: int, structures, r: int,
-                             node_guard: int, workers: int, vertices: Optional[int] = None):
+                             node_guard: int, workers: int,
+                             symmetry: Optional[Symmetry] = None):
     """``search_counterexample`` from nothing, its subtrees searched in processes.
 
     The serial walk runs here to a small split depth. Each live state there is
@@ -667,7 +734,7 @@ def _parallel_counterexample(num_keys: int, structures, r: int,
     depth = 1
     while r ** depth < workers * 2 and depth < num_keys:
         depth += 1
-    engine = _Engine(num_keys, structures, r, vertices)
+    engine = _Engine(num_keys, structures, r, symmetry)
     shards = []  # (the walk's nodes before the shard, its state)
     for top, state, colors in engine.walk(math.inf, split=depth):
         if state is None:
@@ -726,14 +793,14 @@ def index_structures(keys: Sequence, groups: Iterable[Iterable]) -> list[tuple[i
 
 
 def run_engine(keys: Sequence, structures, r: int, kind: str,
-               node_guard: int, workers: int, vertices: Optional[int] = None) -> Verdict:
+               node_guard: int, workers: int, symmetry: Optional[Symmetry] = None) -> Verdict:
     """The verdict on structures over ``keys``: "true" when every r-coloring
     leaves one monochromatic, else "false" with a counterexample keyed by
     ``keys``, or "inconclusive" when a guard fires.
 
-    ``vertices`` = n declares ``keys`` to be K_n's edges in lex order under an
-    S_n-invariant structure set, so the search breaks that symmetry (refused
-    with ContractViolation when the structures are not invariant) and the
+    A ``symmetry`` declares a group of key permutations that maps the
+    structures onto themselves, so the search breaks it (refused with
+    ContractViolation when the structures are not invariant) and the
     verdict's reason says so."""
     if any(len(s) == 0 for s in structures):
         return Verdict("true", reason="a key-free substructure is always monochromatic")
@@ -741,21 +808,20 @@ def run_engine(keys: Sequence, structures, r: int, kind: str,
         counter = MapColoring(kind, r, {key: 1 for key in keys})
         return Verdict("false", counterexample=counter,
                        reason="no candidate substructure exists")
-    symmetry = "" if vertices is None else \
-        f"lex-leader symmetry breaking over S_{vertices} x S_{r}"
+    broken = "" if symmetry is None else \
+        f"lex-leader symmetry breaking over {symmetry.name} x S_{r}"
     try:
         if workers > 1:
             colors = _parallel_counterexample(len(keys), structures, r,
-                                              node_guard, workers, vertices)
+                                              node_guard, workers, symmetry)
         else:
-            colors = search_counterexample(len(keys), structures, r, node_guard,
-                                           vertices=vertices)
+            colors = search_counterexample(len(keys), structures, r, node_guard, symmetry)
     except GuardExceeded as exc:
-        return Verdict("inconclusive", reason="; ".join(filter(None, [str(exc), symmetry])))
+        return Verdict("inconclusive", reason="; ".join(filter(None, [str(exc), broken])))
     if colors is None:
-        return Verdict("true", reason=symmetry)
+        return Verdict("true", reason=broken)
     assignment = {key: colors[i] for i, key in enumerate(keys)}
-    return Verdict("false", counterexample=MapColoring(kind, r, assignment), reason=symmetry)
+    return Verdict("false", counterexample=MapColoring(kind, r, assignment), reason=broken)
 
 
 def verify_comparability_ramsey(p: Poset, q: Poset, r: int, *,
@@ -769,9 +835,8 @@ def verify_comparability_ramsey(p: Poset, q: Poset, r: int, *,
         for elements in enumerate_induced_copy_sets(q, p)))
     # On a chain the keys are K_n's edges, and every permutation of the
     # elements maps the copies of p onto copies of p.
-    vertices = q.n if keys == tuple(combinations(range(q.n), 2)) else None
-    return run_engine(keys, structures, r, KIND_COMPARABILITY, node_guard, workers,
-                      vertices=vertices)
+    symmetry = vertex_symmetry(q.n) if keys == tuple(combinations(range(q.n), 2)) else None
+    return run_engine(keys, structures, r, KIND_COMPARABILITY, node_guard, workers, symmetry)
 
 
 def verify_grid_ramsey(kind: str, t: int, r: int, m: int, l: int, n: int, *,
@@ -789,7 +854,10 @@ def verify_grid_ramsey(kind: str, t: int, r: int, m: int, l: int, n: int, *,
         table = _subsets_within(n, l, m)
         structures = index_structures(keys, (iproduct(*[table[axis] for axis in outer])
                                              for outer in iproduct(table, repeat=t)))
-        return run_engine(keys, structures, r, KIND_SUBGRID, node_guard, workers)
+        # Cells and the l x l boxes over them, in row-major order: permuting
+        # the rows or the columns maps those boxes onto themselves.
+        symmetry = grid_symmetry(n, n) if t == 2 and m == 1 else None
+        return run_engine(keys, structures, r, KIND_SUBGRID, node_guard, workers, symmetry)
     if kind in (KIND_SUBPOSET, "subposet"):
         # A set induces m^t in n^t exactly when it does so in any hull holding
         # it, so a hull's keys are the keys inside it: looked up by their first
@@ -815,17 +883,14 @@ def verify_grid_ramsey(kind: str, t: int, r: int, m: int, l: int, n: int, *,
     raise ContractViolation(f"unknown kind {kind!r}")
 
 
-def verify_ramsey_witness(p: Poset, q: Poset, r: int,
+def verify_ramsey_witness(p: GridPoset, q: GridPoset, r: int,
                           kind: str = KIND_COMPARABILITY, *,
                           m: Optional[int] = None, **guards) -> Verdict:
-    """Spec-facing wrapper: comparability over posets, grid kinds over grids."""
-    if kind == KIND_COMPARABILITY:
-        return verify_comparability_ramsey(p, q, r, **guards)
-    if not isinstance(p, GridPoset) or not isinstance(q, GridPoset):
-        raise ContractViolation("grid kinds need GridPoset arguments")
-    if m is None:
-        raise ContractViolation("grid kinds need the subobject side m")
-    return verify_grid_ramsey(kind, q.t, r, m, p.k, q.k, **guards)
+    """``verify_at`` for p = l^t in q = n^t; the grid kinds need the side m."""
+    if not (isinstance(p, GridPoset) and isinstance(q, GridPoset) and p.t == q.t) \
+            or m is None and kind != KIND_COMPARABILITY:
+        raise ContractViolation("need grids l^t and n^t, and the side m for grid kinds")
+    return verify_at(kind, q.t, r, m, p.k, q.k, **guards)
 
 
 def verify_at(kind: str, t: int, r: int, m: int, l: int, n: int, **guards) -> Verdict:

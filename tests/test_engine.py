@@ -1,8 +1,9 @@
 """The counterexample engine: brute-force differential, pinned node counts,
 pinned certificates, serial/parallel agreement, guard reasons, deep
-instances and lex-leader symmetry breaking on chain hosts."""
+instances and lex-leader symmetry breaking on chain hosts and cell boxes."""
 
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -26,12 +27,15 @@ from gridlab.ramsey import (
     KIND_SUBPOSET,
     enumerate_induced_copy_sets,
     find_monochromatic_copy,
+    find_monochromatic_subgrid,
     index_structures,
     min_ramsey_n,
     run_engine,
+    grid_symmetry,
     search_counterexample,
     verify_comparability_ramsey,
     verify_grid_ramsey,
+    vertex_symmetry,
 )
 
 
@@ -77,17 +81,37 @@ def _chain11(guard):
     return _chain(11, guard)
 
 
+def _box_rectangles(a, b):
+    """The cells of an a x b box keyed as the subgrid kind keys them, row
+    major, and the key groups of its rectangles."""
+    keys = [((i,), (j,)) for i in range(a) for j in range(b)]
+    return keys, [list(product(rows, cols)) for rows in combinations([(i,) for i in range(a)], 2)
+                  for cols in combinations([(j,) for j in range(b)], 2)]
+
+
+def _plain_cells(n, r, guard=10 ** 6, workers=1):
+    """Cells and rectangles of the n x n box through the engine with no
+    symmetry declared: the plain walk."""
+    keys, groups = _box_rectangles(n, n)
+    return ramsey.run_engine(keys, index_structures(keys, groups), r, KIND_SUBGRID, guard,
+                             workers)
+
+
 # A node is a (key, color) attempt, so each search finishes under exactly this
-# guard. The grid kinds keep the counts of the engine before its state became
-# key bitmasks; the chain instances break the vertex symmetry (the plain search
-# needs 10518 nodes for chain-3 in 11). K_16 and K_17 settle R(3,3,3) = 17.
+# guard. The plain walk keeps the counts of the engine before its state became
+# key bitmasks (2699 and 8099 for cells and rectangles); the chain instances
+# break the vertex symmetry (the plain search needs 10518 nodes for chain-3 in
+# 11) and the cell instances the row and column symmetry. K_16 and K_17
+# settle R(3,3,3) = 17.
 @pytest.mark.parametrize("verify, nodes, status", [
     (_chain11, 203, "false"),
     (lambda g: _chain(16, g), 3761, "false"),
     (lambda g: _chain(17, g), 962, "true"),
-    (lambda g: verify_grid_ramsey(KIND_SUBGRID, 2, 3, 1, 2, 6, node_guard=g), 8099, "false"),
+    (lambda g: verify_grid_ramsey(KIND_SUBGRID, 2, 3, 1, 2, 6, node_guard=g), 276, "false"),
+    (lambda g: _plain_cells(6, 3, g), 8099, "false"),
     (lambda g: verify_grid_ramsey(KIND_SUBPOSET, 2, 2, 1, 2, 6, node_guard=g), 391, "true"),
-    (lambda g: verify_grid_ramsey(KIND_SUBGRID, 2, 2, 1, 2, 5, node_guard=g), 2699, "true"),
+    (lambda g: verify_grid_ramsey(KIND_SUBGRID, 2, 2, 1, 2, 5, node_guard=g), 130, "true"),
+    (lambda g: _plain_cells(5, 2, g), 2699, "true"),
 ])
 def test_node_counts_are_pinned(verify, nodes, status):
     assert verify(nodes).status == status
@@ -148,8 +172,11 @@ def test_guard_reasons_say_where_the_search_stopped():
     assert parallel.status == "inconclusive"
     assert re.fullmatch(r"counterexample search exceeded its node guard 100 "
                         rf"by shard \d+/\d+; {symmetry}", parallel.reason)
-    cells = _cells6(1000)
-    assert cells.reason == "counterexample search exceeded its node guard 1000 at depth 24/36"
+    cells = _cells6(100)
+    assert cells.reason == ("counterexample search exceeded its node guard 100 at depth 21/36; "
+                            "lex-leader symmetry breaking over S_6 x S_6 x S_3")
+    assert _plain_cells(6, 3, 1000).reason == \
+        "counterexample search exceeded its node guard 1000 at depth 24/36"
 
 
 def test_search_deeper_than_the_recursion_limit():
@@ -186,7 +213,8 @@ def test_serial_and_parallel_agree_on_cells_and_subposets():
 # return it, but stop at its guard as the serial search does.
 @pytest.mark.parametrize("verify, nodes", [
     (lambda g: _chain(11, g, workers=2), 203),
-    (lambda g: _cells6(g, workers=2), 8099),
+    (lambda g: _cells6(g, workers=2), 276),
+    (lambda g: _plain_cells(6, 3, g, workers=2), 8099),
 ])
 def test_parallel_verdicts_at_the_guard_edges(verify, nodes):
     assert verify(nodes).status == "false"
@@ -290,50 +318,53 @@ class _InlinePool:
 
 
 def _engine_inputs(monkeypatch, verify):
-    """The (keys, structures, r, vertices) that verify hands to the engine."""
+    """The (keys, structures, r, symmetry) that verify hands to the engine."""
     seen = []
     with monkeypatch.context() as patch:
         patch.setattr(ramsey, "run_engine",
-                      lambda keys, structures, r, *rest, vertices=None:
-                      seen.append((list(keys), structures, r, vertices)))
+                      lambda keys, structures, r, kind, guard, workers, symmetry=None:
+                      seen.append((list(keys), structures, r, symmetry)))
         verify()
     return seen[0]
 
 
 # (verify, the serial search's node count, whether it finds a counterexample);
-# the chain instances break the vertex symmetry of K_8 and K_6.
+# the chain instances break the vertex symmetry of K_8 and K_6, the 4x4 cells
+# the row and column symmetry, and the plain walk over them none.
 @pytest.mark.parametrize("verify, finish, found", [
-    (lambda: verify_grid_ramsey(KIND_SUBGRID, 2, 2, 1, 2, 4), 34, True),
+    (lambda: verify_grid_ramsey(KIND_SUBGRID, 2, 2, 1, 2, 4), 23, True),
+    (lambda: _plain_cells(4, 2), 34, True),
     (lambda: _chain(8), 47, True),
     (lambda: _chain(6, r=2), 8, False),
 ])
 def test_shard_accounting_at_every_guard(monkeypatch, verify, finish, found):
-    keys, structures, r, vertices = _engine_inputs(monkeypatch, verify)
+    keys, structures, r, symmetry = _engine_inputs(monkeypatch, verify)
     num_keys = len(keys)
     monkeypatch.setattr(ramsey, "ProcessPoolExecutor", _InlinePool)
     for guard in range(finish + 1):
-        serial = _outcome(search_counterexample, num_keys, structures, r, guard,
-                          vertices=vertices)
+        serial = _outcome(search_counterexample, num_keys, structures, r, guard, symmetry)
         if guard < finish:
             assert serial == "guard"
         for workers in (2, 4):
             assert _outcome(ramsey._parallel_counterexample, num_keys, structures, r,
-                            guard, workers, vertices) == serial, (guard, workers)
+                            guard, workers, symmetry) == serial, (guard, workers)
     assert (serial is not None) == found
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_verdict_at_the_guard_edge_does_not_depend_on_workers(workers):
-    def cells5(guard):
-        return verify_grid_ramsey(KIND_SUBGRID, 2, 2, 1, 2, 5, node_guard=guard,
+    def cells(n, r, guard):
+        return verify_grid_ramsey(KIND_SUBGRID, 2, r, 1, 2, n, node_guard=guard,
                                   workers=workers)
 
-    assert cells5(2698).status == "inconclusive"
-    assert cells5(2699).status == "true"
+    assert cells(5, 2, 129).status == "inconclusive"
+    assert cells(5, 2, 130).status == "true"
+    assert cells(6, 3, 275).status == "inconclusive"
+    assert cells(6, 3, 276).status == "false"
 
 
-# 3-colorings of the 9x9 cells without a monochromatic rectangle: about 5 s
-# to the 300,000-node guard with two workers, and no symmetry is broken.
+# 3-colorings of the 9x9 cells without a monochromatic rectangle: about 6 s
+# to the 300,000-node guard serially, with the row and column symmetry broken.
 _FORKSERVER_TIME_LIMIT = """
 import multiprocessing, time
 from gridlab.ramsey import KIND_SUBGRID, time_limit, verify_grid_ramsey
@@ -358,7 +389,8 @@ def test_the_time_limit_reaches_forkserver_workers():
     status, seconds, reason = out.stdout.strip().split("|")
     # Without the deadline, the shards run on to their 300,000-node guard.
     assert status == "inconclusive"
-    assert reason.endswith("time limit exceeded"), reason
+    assert reason == ("time limit exceeded; "
+                      "lex-leader symmetry breaking over S_9 x S_9 x S_3"), reason
     assert float(seconds) < 3.0 and time.monotonic() - start < 30
 
 
@@ -370,11 +402,11 @@ def test_symmetry_breaking_keeps_the_plain_search_result(monkeypatch, l, top, r)
     # image of it under S_n x S_r is good too, so it is the least of its orbit
     # and keeps the lex-leader constraints: both searches return it.
     for n in range(l, top + 1):
-        keys, structures, _, vertices = _engine_inputs(monkeypatch, lambda: _chain(n, r=r, l=l))
+        keys, structures, _, symmetry = _engine_inputs(monkeypatch, lambda: _chain(n, r=r, l=l))
         num_keys = len(keys)
-        assert vertices == n
+        assert symmetry.name == f"S_{n}"
         plain = search_counterexample(num_keys, structures, r)
-        assert search_counterexample(num_keys, structures, r, vertices=n) == plain, n
+        assert search_counterexample(num_keys, structures, r, symmetry=symmetry) == plain, n
         verdict = _chain(n, r=r, l=l)
         assert verdict.status == ("true" if plain is None else "false"), n
         if plain is not None:
@@ -400,9 +432,9 @@ def _graph_orbits(draw):
 def test_symmetry_breaking_matches_the_plain_search_on_graph_orbits(instance):
     n, num_keys, structures, r = instance
     plain = search_counterexample(num_keys, structures, r)
-    assert search_counterexample(num_keys, structures, r, vertices=n) == plain
+    assert search_counterexample(num_keys, structures, r, symmetry=vertex_symmetry(n)) == plain
     verdict = run_engine(list(combinations(range(n), 2)), structures, r,
-                         KIND_COMPARABILITY, 10 ** 6, 1, vertices=n)
+                         KIND_COMPARABILITY, 10 ** 6, 1, vertex_symmetry(n))
     assert verdict.reason == f"lex-leader symmetry breaking over S_{n} x S_{r}"
     assert verdict.status == ("true" if plain is None else "false")
 
@@ -425,7 +457,94 @@ def test_the_threshold_scan_finds_r333_17():
 def test_a_vertex_symmetry_the_structures_lack_is_refused(n, structures, vertices):
     keys = list(combinations(range(n), 2))
     with pytest.raises(ContractViolation):
-        run_engine(keys, structures, 2, KIND_COMPARABILITY, 1000, 1, vertices=vertices)
+        run_engine(keys, structures, 2, KIND_COMPARABILITY, 1000, 1, vertex_symmetry(vertices))
+
+
+def _box_orbit(a, b, pattern):
+    """The images of the cell set ``pattern`` under every permutation of the
+    rows and of the columns of the a x b box, as key groups."""
+    return {tuple(sorted(((rows[i],), (cols[j],)) for i, j in pattern))
+            for rows in permutations(range(a)) for cols in permutations(range(b))}
+
+
+_PATTERNS = {
+    "rectangle": [(0, 0), (0, 1), (1, 0), (1, 1)],
+    "row-pair": [(0, 0), (0, 1)],
+    "column-pair": [(0, 0), (1, 0)],
+    "diagonal": [(0, 0), (1, 1)],
+    "corner": [(0, 0), (0, 1), (1, 0)],
+    "row-triple": [(0, 0), (0, 1), (0, 2)],
+}
+
+
+# Every 2-coloring of boxes up to 4x4 and every 3-coloring of 3x3: the
+# brute force tries each coloring in lex order, so it tries them all when
+# none is good. The least good coloring is the least of its orbit, so the
+# symmetric walk must return it.
+@pytest.mark.parametrize("a, b, r", [(2, 2, 2), (2, 3, 2), (3, 3, 2), (3, 4, 2), (4, 4, 2),
+                                     (4, 2, 2), (3, 3, 3)])
+@pytest.mark.parametrize("shapes", [["rectangle"], ["row-pair"], ["corner"],
+                                    ["diagonal", "row-pair"], ["row-triple", "rectangle"],
+                                    ["row-pair", "column-pair", "diagonal"]])
+def test_grid_symmetry_matches_brute_force_on_tiny_boxes(a, b, r, shapes):
+    keys = [((i,), (j,)) for i in range(a) for j in range(b)]
+    fits = [_PATTERNS[shape] for shape in shapes
+            if all(i < a and j < b for i, j in _PATTERNS[shape])]
+    groups = [group for pattern in fits for group in sorted(_box_orbit(a, b, pattern))]
+    structures = index_structures(keys, groups)
+    want = _first_good_coloring(len(keys), structures, r)
+    got = search_counterexample(len(keys), structures, r, symmetry=grid_symmetry(a, b))
+    assert got == want
+    verdict = run_engine(keys, structures, r, KIND_SUBGRID, 10 ** 6, 1, grid_symmetry(a, b))
+    assert verdict.status == ("true" if want is None else "false")
+    assert verdict.reason == f"lex-leader symmetry breaking over S_{a} x S_{b} x S_{r}"
+
+
+@pytest.mark.parametrize("n, r, l", [(n, r, l) for n in range(3, 7) for r in (1, 2, 3)
+                                     for l in (2, 3)])
+def test_grid_symmetry_keeps_the_plain_walk_witness(monkeypatch, n, r, l):
+    keys, structures, _, symmetry = _engine_inputs(
+        monkeypatch, lambda: verify_grid_ramsey(KIND_SUBGRID, 2, r, 1, l, n))
+    assert symmetry.name == f"S_{n} x S_{n}"
+    plain = _outcome(search_counterexample, len(keys), structures, r, 20_000)
+    if plain != "guard":
+        assert search_counterexample(len(keys), structures, r, symmetry=symmetry) == plain
+    verdict = verify_grid_ramsey(KIND_SUBGRID, 2, r, 1, l, n)
+    if verdict.status == "false":
+        assert find_monochromatic_subgrid(n, 2, 1, l, verdict.counterexample) is None
+
+
+def test_a_grid_symmetry_the_structures_lack_is_refused():
+    keys, groups = _box_rectangles(4, 4)
+    structures = index_structures(keys, groups)
+    assert run_engine(keys, structures, 2, KIND_SUBGRID, 1000, 1,
+                      grid_symmetry(4, 4)).status == "false"
+    for dropped in (0, len(structures) - 1):
+        with pytest.raises(ContractViolation, match="not invariant under S_4 x S_4"):
+            run_engine(keys, structures[:dropped] + structures[dropped + 1:], 2, KIND_SUBGRID,
+                       1000, 1, grid_symmetry(4, 4))
+    with pytest.raises(ContractViolation):  # 20 keys declared, 16 given
+        run_engine(keys, structures, 2, KIND_SUBGRID, 1000, 1, grid_symmetry(4, 5))
+
+
+def _chain_structures(n):
+    """The triangles of K_n as key indices."""
+    keys = list(combinations(range(n), 2))
+    return index_structures(keys, (combinations(t, 2) for t in combinations(range(n), 3)))
+
+
+def test_symmetry_declarations_pickle_by_their_parameters():
+    keys, groups = _box_rectangles(3, 5)
+    structures = index_structures(keys, groups)
+    for symmetry, num_keys, structs in ((grid_symmetry(3, 5), 15, structures),
+                                        (vertex_symmetry(6), 15, _chain_structures(6))):
+        data = pickle.dumps(symmetry)
+        assert len(data) < 200  # the call that built it, not its tables
+        copy = pickle.loads(data)
+        assert (copy.name, copy.generators) == (symmetry.name, symmetry.generators)
+        for r in (2, 3):
+            assert search_counterexample(num_keys, structs, r, symmetry=copy) == \
+                search_counterexample(num_keys, structs, r, symmetry=symmetry)
 
 
 def test_index_structures_sorts_each_group_and_drops_repeats():

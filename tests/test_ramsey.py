@@ -142,6 +142,23 @@ def test_find_monochromatic_subgrid_pigeonhole():
     assert w.subgrid.axes == ((0, 2),) and w.color == 1
 
 
+@pytest.mark.parametrize("bad", [0, 3])
+def test_function_colorings_check_their_range(bad):
+    c = FunctionColoring(KIND_SUBGRID, 2, lambda key: bad)
+    with pytest.raises(ContractViolation, match=f"produced color {bad}"):
+        c.color_of(((0,), (0,)))
+
+
+def test_hash_colorings_answer_with_their_own_function():
+    c = hash_coloring(KIND_SUBGRID, 2, 7)
+    assert c.color_of is c.fn  # it cannot leave 1..r, so nothing re-checks it
+    assert {c.color_of(((i,), (j,))) for i in range(5) for j in range(5)} == {1, 2}
+    biased = hash_coloring(KIND_SUBGRID, 3, 7, bias_color=3, bias=0.5)
+    assert {biased.color_of(((i,), (j,))) for i in range(5) for j in range(5)} == {1, 2, 3}
+    with pytest.raises(ContractViolation, match="bias color 4"):
+        hash_coloring(KIND_SUBGRID, 3, 7, bias_color=4, bias=0.5)
+
+
 def test_find_monochromatic_subgrid_needs_a_dimension():
     with pytest.raises(ContractViolation, match="t >= 1"):
         find_monochromatic_subgrid(4, 0, 1, 2, FunctionColoring(KIND_SUBGRID, 2, lambda key: 1))
@@ -198,11 +215,15 @@ def test_verify_examples():
 
 
 def test_verify_wrapper_kinds():
-    assert verify_ramsey_witness(make_chain(3), make_chain(6), 2).is_true()
+    assert verify_ramsey_witness(grid(3, 1), grid(6, 1), 2).is_true()
     v = verify_ramsey_witness(grid(2, 1), grid(3, 1), 2, KIND_SUBGRID, m=1)
     assert v.is_true()
     with pytest.raises(ContractViolation):
         verify_ramsey_witness(grid(2, 1), grid(3, 1), 2, KIND_SUBGRID)
+    with pytest.raises(ContractViolation):  # verify_at takes grids, not other posets
+        verify_ramsey_witness(make_chain(3), make_chain(6), 2)
+    with pytest.raises(ContractViolation):
+        verify_ramsey_witness(grid(2, 1), grid(3, 2), 2)
 
 
 def test_verify_inconclusive_on_tiny_guard():

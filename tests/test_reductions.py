@@ -175,7 +175,7 @@ def test_subgrid_scan_missing_key():
 def test_subgrid_structures_match_reference(monkeypatch, t, m, l, n):
     seen = {}
 
-    def capture(keys, structures, r, kind, node_guard, workers):
+    def capture(keys, structures, r, kind, node_guard, workers, symmetry=None):
         seen.update(keys=list(keys), structures=list(structures))
         return ramsey.Verdict("true")
 

@@ -44,9 +44,9 @@ def test_partition_search_honours_workers(monkeypatch):
     calls = []
     parallel = ramsey._parallel_counterexample
 
-    def recorder(num_keys, structures, r, node_guard, workers, vertices):
+    def recorder(num_keys, structures, r, node_guard, workers, symmetry):
         calls.append(workers)
-        return parallel(num_keys, structures, r, node_guard, workers, vertices)
+        return parallel(num_keys, structures, r, node_guard, workers, symmetry)
 
     monkeypatch.setattr(ramsey, "_parallel_counterexample", recorder)
     serial = partition_ramsey_search(2, 3, 2, 7)
