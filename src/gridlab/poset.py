@@ -482,6 +482,36 @@ def order_checks(p: Poset, order: Sequence[int], host: Poset,
              for y in order[:s]] for s, x in enumerate(order)]
 
 
+def orbit_checks(p: Poset, order: Sequence[int], host_n: int
+                 ) -> list[list[tuple[int, Sequence[int]]]]:
+    """Extra ``checks`` that keep one embedding of p per Aut(p) orbit: the
+    lex-least in step order, the one ``induced_embeddings`` finds first.
+
+    The symmetry breaking of Grochow and Kellis (2007) along a stabilizer
+    chain: for each b that an automorphism fixing ``order[:s]`` sends
+    ``order[s]`` to, the image of ``order[s]`` must lie below that of b
+    (host elements numbered ``0..host_n-1``). Each such automorphism is
+    looked for by an existence search of p in itself through the kernel, so
+    no ``ISO_CAP`` applies.
+    """
+    prof = _profiles(p)
+    classes = [sum(1 << j for j in range(p.n) if prof[j] == prof[i]) for i in range(p.n)]
+    self_checks = order_checks(p, order, p)
+    step_of = {x: s for s, x in enumerate(order)}
+    gt = [-(2 << v) for v in range(host_n)]  # gt[v]: the host elements above v
+    out: list[list[tuple[int, Sequence[int]]]] = [[] for _ in order]
+    allowed = [classes[x] for x in order]
+    fixed = 0
+    for s, x in enumerate(order):
+        fixed |= 1 << x
+        for b in iter_bits(allowed[s] & ~fixed):
+            allowed[s] = 1 << b
+            if next(induced_embeddings(order, self_checks, allowed), None) is not None:
+                out[step_of[b]].append((x, gt))
+        allowed[s] = 1 << x
+    return out
+
+
 def enumerate_isomorphisms(p: Poset, q: Poset,
                            cap: int = ISO_CAP) -> Iterator[tuple[int, ...]]:
     """Yield every relation-preserving bijection p -> q.

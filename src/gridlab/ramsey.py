@@ -41,6 +41,7 @@ from .poset import (
     induced_subposet,
     is_linear_extension,
     linear_extensions,
+    orbit_checks,
     order_checks,
 )
 
@@ -299,10 +300,21 @@ def induced_copies(q: Poset, p: Poset, within: Optional[Sequence[int]] = None,
     color are pruned, so the yields are exactly the monochromatic embeddings.
     ``within`` must name elements of q (ContractViolation otherwise).
     """
+    return _copy_search(q, p, within, coloring, guard_nodes, one_per_orbit=False)
+
+
+def _copy_search(q: Poset, p: Poset, within: Optional[Sequence[int]],
+                 coloring: Optional[Coloring], guard_nodes: int,
+                 one_per_orbit: bool) -> Iterator[tuple[int, ...]]:
+    """``induced_copies``; with ``one_per_orbit``, only the first-found
+    embedding of each element set (``orbit_checks``)."""
     steps = range(p.n)
     if within is not None and any(not 0 <= e < q.n for e in within):
         raise ContractViolation(f"within names an element outside the {q.n}-element host")
     allowed = (1 << q.n) - 1 if within is None else sum(1 << e for e in set(within))
+    checks = order_checks(p, steps, q)
+    if one_per_orbit:
+        checks = [c + o for c, o in zip(checks, orbit_checks(p, steps, q.n))]
     hook = None
     if coloring is not None:
         # below[s]: the earlier elements comparable to s, and whether each is below s.
@@ -321,7 +333,7 @@ def induced_copies(q: Poset, p: Poset, within: Optional[Sequence[int]] = None,
             colors[step + 1] = color
             return True
 
-    return induced_embeddings(steps, order_checks(p, steps, q), [allowed] * p.n,
+    return induced_embeddings(steps, checks, [allowed] * p.n,
                               guard_nodes, "copy search exceeded its node guard",
                               hook, _check_deadline)
 
@@ -330,15 +342,11 @@ def enumerate_induced_copy_sets(q: Poset, p: Poset, within: Optional[Sequence[in
                                 guard_copies: int = COPY_GUARD,
                                 guard_nodes: int = NODE_GUARD) -> list[tuple[int, ...]]:
     """Distinct element sets of q inducing copies of p, first-found order."""
-    seen = set()
     out = []
-    for image in induced_copies(q, p, within, guard_nodes=guard_nodes):
-        key = tuple(sorted(image))
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-            if len(out) > guard_copies:
-                raise GuardExceeded("induced-copy enumeration exceeded its guard")
+    for image in _copy_search(q, p, within, None, guard_nodes, one_per_orbit=True):
+        out.append(tuple(sorted(image)))
+        if len(out) > guard_copies:
+            raise GuardExceeded("induced-copy enumeration exceeded its guard")
     return out
 
 
@@ -348,7 +356,7 @@ def find_monochromatic_copy(q: Poset, p: Poset, coloring: Coloring,
     """First induced copy of p in q whose comparable pairs share one color."""
     if coloring.kind != KIND_COMPARABILITY:
         raise ContractViolation("copy search expects a comparability coloring")
-    for image in induced_copies(q, p, within, coloring, guard_nodes):
+    for image in _copy_search(q, p, within, coloring, guard_nodes, one_per_orbit=True):
         color = None
         for a in range(p.n):
             for b in range(p.n):
@@ -1151,16 +1159,12 @@ def enumerate_tie_free_cube_copies(g3: GridPoset,
                     for row, (x, y, z) in zip(g3.inc, coords)]
     # Atoms and coatoms first: they carry all nine incomparability constraints.
     slot_order = (1, 2, 4, 3, 5, 6, 0, 7)
-    checks = order_checks(_cube(), slot_order, g3, tie_free_inc)
-    seen = set()
-    out = []
-    for image in induced_embeddings(slot_order, checks, [(1 << g3.n) - 1] * 8, guard_nodes,
-                                    "tie-free copy search exceeded its node guard"):
-        key = tuple(sorted(image))
-        if key not in seen:
-            seen.add(key)
-            out.append(key)
-    return out
+    cube = _cube()
+    checks = [c + o for c, o in zip(order_checks(cube, slot_order, g3, tie_free_inc),
+                                    orbit_checks(cube, slot_order, g3.n))]
+    return [tuple(sorted(image)) for image in induced_embeddings(
+        slot_order, checks, [(1 << g3.n) - 1] * 8, guard_nodes,
+        "tie-free copy search exceeded its node guard")]
 
 
 def realizer_type_probe(n: int, scope: str = "tie-free",

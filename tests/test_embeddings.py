@@ -2,7 +2,9 @@
 
 import hashlib
 import random
+from collections import Counter
 from itertools import combinations, permutations
+from math import factorial, prod
 
 import pytest
 
@@ -16,11 +18,13 @@ from gridlab.graphs import (
     find_mono_induced_subgraph,
 )
 from gridlab.grids import grid
-from gridlab.poset import Poset, automorphisms, enumerate_isomorphisms, induced_embeddings, \
-    make_chain
+from gridlab.poset import Poset, automorphisms, enumerate_isomorphisms, \
+    induced_embeddings, make_chain, orbit_checks, order_checks
 from gridlab.ramsey import (
     KIND_COMPARABILITY,
+    NODE_GUARD,
     MapColoring,
+    _copy_search,
     cube_trace_type,
     enumerate_induced_copy_sets,
     enumerate_tie_free_cube_copies,
@@ -118,6 +122,62 @@ def test_monochromatic_copies_match_brute_force():
         assert list(induced_copies(q, p, coloring=coloring)) == mono
         found = find_monochromatic_copy(q, p, coloring)
         assert (found.elements if found else None) == (mono[0] if mono else None)
+
+
+def test_one_embedding_per_orbit_matches_the_full_walk():
+    # The full walk of induced_copies is the reference: the pruned searches
+    # must keep its first embedding of each set, in its order.
+    rng = random.Random(15)
+    hosts = [grid(3, 2), grid(4, 2), grid(5, 2), grid(8, 1), grid(3, 3)]
+    for _ in range(100):
+        q = rng.choice(hosts)
+        p = _random_poset(rng.randint(1, 5), rng, density=rng.choice([0.2, 0.4]))
+        within = None
+        if rng.random() < 0.5:
+            within = rng.sample(range(q.n), rng.randint(p.n, q.n))
+        first = {}
+        for image in induced_copies(q, p, within):
+            first.setdefault(tuple(sorted(image)), image)
+        pruned = list(_copy_search(q, p, within, None, NODE_GUARD, one_per_orbit=True))
+        assert pruned == list(first.values())
+        assert enumerate_induced_copy_sets(q, p, within) == list(first)
+        r = rng.randint(1, 3)
+        coloring = MapColoring(KIND_COMPARABILITY, r,
+                               {pair: rng.randint(1, r) for pair in q.comparable_pairs()})
+        found = find_monochromatic_copy(q, p, coloring, within)
+        expected = next(induced_copies(q, p, within, coloring), None)
+        assert (found.elements if found else None) == expected
+
+
+def _chain_orders(p, order):
+    """Per step of ``order``, 1 + the orbit conditions rooted there: the
+    orbit-stabilizer factors of Aut(p) along that step order."""
+    rooted = Counter(y for step in orbit_checks(p, order, p.n) for y, _ in step)
+    return [1 + rooted[x] for x in order]
+
+
+def test_orbit_conditions_follow_a_stabilizer_chain():
+    # automorphisms() lists Aut(p) outright for posets within ISO_CAP.
+    rng = random.Random(16)
+    for _ in range(80):
+        p = _random_poset(rng.randint(1, 8), rng, density=rng.choice([0.2, 0.4]))
+        order = rng.sample(range(p.n), p.n)
+        assert prod(_chain_orders(p, order)) == len(automorphisms(p))
+        # Any step order keeps the first embedding of each set of that order's walk.
+        q = grid(3, 2)
+        full = order_checks(p, order, q)
+        first = {}
+        for image in induced_embeddings(order, full, [(1 << q.n) - 1] * p.n):
+            first.setdefault(tuple(sorted(image)), image)
+        pruned = [c + o for c, o in zip(full, orbit_checks(p, order, q.n))]
+        assert list(induced_embeddings(order, pruned, [(1 << q.n) - 1] * p.n)) == \
+            list(first.values())
+
+
+@pytest.mark.parametrize("k, t", [(2, 1), (2, 2), (5, 2), (2, 3), (3, 3), (4, 3), (2, 4)])
+def test_grid_automorphisms_are_the_axis_permutations(k, t):
+    # 3^3 and 4^3 lie beyond ISO_CAP, which the orbit searches do not need.
+    assert prod(_chain_orders(grid(k, t), range(k ** t))) == factorial(t)
 
 
 def test_isomorphisms_and_automorphisms_match_brute_force():
