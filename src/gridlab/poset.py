@@ -405,7 +405,6 @@ def induced_embeddings(order: Sequence[int],
                        allowed: Sequence[int],
                        guard_nodes: Optional[int] = None,
                        guard_message: str = "embedding search exceeded its node guard",
-                       hook: Optional[Callable[[int, int, list[int]], bool]] = None,
                        periodic: Optional[Callable[[], None]] = None
                        ) -> Generator[tuple[int, ...], None, int]:
     """Every injective placement of pattern elements 0..k-1 that passes the masks.
@@ -418,11 +417,10 @@ def induced_embeddings(order: Sequence[int],
     so yields come depth-first in lexicographic order of the step images.
     Each yield is the image tuple indexed by pattern element.
 
-    A node is a placement that survived the masks; ``hook(step, candidate,
-    image)``, with ``image`` holding the earlier steps' placements, may still
-    reject it. Counting only survivors, a search never
-    visits more nodes than one that tests each candidate pair by pair, so a
-    search that finished under ``guard_nodes`` that way still does. Past
+    A node is a placement that survived the masks. Counting only survivors, a
+    search never visits more nodes than one that tests each candidate pair by
+    pair, so a search that finished under ``guard_nodes`` that way still
+    does. Past
     the guard, GuardExceeded(``guard_message``) is raised; ``periodic`` runs
     every 4096 nodes. The generator returns the number of nodes visited.
     """
@@ -454,8 +452,6 @@ def induced_embeddings(order: Sequence[int],
             raise GuardExceeded(guard_message)
         if periodic is not None and not nodes & 0xFFF:
             periodic()
-        if hook is not None and not hook(step, cand, image):
-            continue
         image[order[step]] = cand
         if step == last:
             yield tuple(image)
@@ -469,16 +465,19 @@ def induced_embeddings(order: Sequence[int],
 
 
 def order_checks(p: Poset, order: Sequence[int], host: Poset,
-                 inc: Optional[Sequence[int]] = None
+                 inc: Optional[Sequence[int]] = None,
+                 up: Optional[Sequence[int]] = None, dn: Optional[Sequence[int]] = None
                  ) -> list[list[tuple[int, Sequence[int]]]]:
     """``checks`` for ``induced_embeddings`` that keep a copy of p induced.
 
     The image of x must lie above, below or incomparable to the image of
-    each earlier y as x does to y in p; ``inc`` narrows the incomparable
-    rows (default ``host.inc``).
+    each earlier y as x does to y in p; ``inc``, ``up`` and ``dn`` narrow
+    the host's rows.
     """
     inc = host.inc if inc is None else inc
-    return [[(y, host.up if p.lt(y, x) else host.dn if p.lt(x, y) else inc)
+    up = host.up if up is None else up
+    dn = host.dn if dn is None else dn
+    return [[(y, up if p.lt(y, x) else dn if p.lt(x, y) else inc)
              for y in order[:s]] for s, x in enumerate(order)]
 
 

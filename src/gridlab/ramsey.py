@@ -24,10 +24,13 @@ import math
 import multiprocessing
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product as iproduct
+from functools import lru_cache
+from heapq import merge
+from itertools import combinations, product as iproduct
 from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -36,9 +39,10 @@ from .grids import GridPoset, Subgrid, grid
 from .poset import (
     LinearExtension,
     Poset,
-    enumerate_isomorphisms,
+    automorphisms,
     induced_embeddings,
     induced_subposet,
+    is_isomorphic,
     is_linear_extension,
     linear_extensions,
     orbit_checks,
@@ -296,46 +300,72 @@ def induced_copies(q: Poset, p: Poset, within: Optional[Sequence[int]] = None,
     """Induced copies of p inside q (restricted to ``within``), as image tuples
     indexed by p-element, in lexicographic order of the images.
 
-    With a coloring, placements whose comparable pairs already disagree on a
-    color are pruned, so the yields are exactly the monochromatic embeddings.
-    ``within`` must name elements of q (ContractViolation otherwise).
+    With a comparability coloring, only the monochromatic embeddings: one
+    search per color over the rows of that color's pairs, merged. Each color's
+    search is bounded by ``guard_nodes`` and visits at most the nodes of the
+    uncolored walk over its whole tree. ``within`` must name elements of q
+    (ContractViolation otherwise).
     """
     return _copy_search(q, p, within, coloring, guard_nodes, one_per_orbit=False)
+
+
+class _LazyRows(dict):
+    """A row table filled on first read at v by ``fill(v)``."""
+
+    __slots__ = ("fill",)
+
+    def __missing__(self, v: int) -> int:
+        self.fill(v)
+        return self[v]
+
+
+def _color_tables(rows: Sequence[int], upward: bool, allowed: int,
+                  coloring: Coloring) -> list[_LazyRows]:
+    """Table c - 1 holds the w in ``rows[v] & allowed`` whose pair with v
+    has color c; v's rows in every color are built at once."""
+    color_of = coloring.color_of
+    tables = [_LazyRows() for _ in range(coloring.r)]
+
+    def fill(v: int) -> None:
+        split = [0] * (coloring.r + 1)
+        row = rows[v] & allowed
+        while row:
+            low = row & -row
+            w = low.bit_length() - 1
+            split[color_of((v, w) if upward else (w, v))] |= low
+            row ^= low
+        for table, bits in zip(tables, split[1:]):
+            table[v] = bits
+
+    for table in tables:
+        table.fill = fill
+    return tables
 
 
 def _copy_search(q: Poset, p: Poset, within: Optional[Sequence[int]],
                  coloring: Optional[Coloring], guard_nodes: int,
                  one_per_orbit: bool) -> Iterator[tuple[int, ...]]:
     """``induced_copies``; with ``one_per_orbit``, only the first-found
-    embedding of each element set (``orbit_checks``)."""
+    embedding of each element set (``orbit_checks``). A copy's pairs share a
+    color or not as a set, so the color streams are disjoint."""
     steps = range(p.n)
     if within is not None and any(not 0 <= e < q.n for e in within):
         raise ContractViolation(f"within names an element outside the {q.n}-element host")
+    if coloring is not None and coloring.kind != KIND_COMPARABILITY:
+        raise ContractViolation("copy search expects a comparability coloring")
     allowed = (1 << q.n) - 1 if within is None else sum(1 << e for e in set(within))
-    checks = order_checks(p, steps, q)
-    if one_per_orbit:
-        checks = [c + o for c, o in zip(checks, orbit_checks(p, steps, q.n))]
-    hook = None
-    if coloring is not None:
-        # below[s]: the earlier elements comparable to s, and whether each is below s.
-        below = [[(y, p.lt(y, s)) for y in range(s) if p.comparable(y, s)] for s in steps]
-        colors = [None] * (p.n + 1)  # colors[s]: the common color of steps < s
+    orbits = orbit_checks(p, steps, q.n) if one_per_orbit else [[]] * p.n
 
-        def hook(step: int, cand: int, image: list[int]) -> bool:
-            color = colors[step]
-            for y, is_below in below[step]:
-                a = image[y]
-                c = coloring.color_of((a, cand) if is_below else (cand, a))
-                if color is None:
-                    color = c
-                elif c != color:
-                    return False
-            colors[step + 1] = color
-            return True
+    def search(up: Sequence[int], dn: Sequence[int]) -> Iterator[tuple[int, ...]]:
+        checks = [c + o for c, o in zip(order_checks(p, steps, q, up=up, dn=dn), orbits)]
+        return induced_embeddings(steps, checks, [allowed] * p.n, guard_nodes,
+                                  "copy search exceeded its node guard", _check_deadline)
 
-    return induced_embeddings(steps, checks, [allowed] * p.n,
-                              guard_nodes, "copy search exceeded its node guard",
-                              hook, _check_deadline)
+    if coloring is None or not p.relation_count():
+        return search(q.up, q.dn)
+    ups = _color_tables(q.up, True, allowed, coloring)
+    dns = _color_tables(q.dn, False, allowed, coloring)
+    return merge(*map(search, ups, dns))
 
 
 def enumerate_induced_copy_sets(q: Poset, p: Poset, within: Optional[Sequence[int]] = None,
@@ -353,20 +383,13 @@ def enumerate_induced_copy_sets(q: Poset, p: Poset, within: Optional[Sequence[in
 def find_monochromatic_copy(q: Poset, p: Poset, coloring: Coloring,
                             within: Optional[Sequence[int]] = None,
                             guard_nodes: int = NODE_GUARD) -> Optional[MonoWitness]:
-    """First induced copy of p in q whose comparable pairs share one color."""
-    if coloring.kind != KIND_COMPARABILITY:
-        raise ContractViolation("copy search expects a comparability coloring")
+    """First induced copy of p in q whose comparable pairs share one color
+    (None if p has none). One search per color, each bounded by
+    ``guard_nodes``, as in ``induced_copies``."""
+    pair = next(p.comparable_pairs(), None)
     for image in _copy_search(q, p, within, coloring, guard_nodes, one_per_orbit=True):
-        color = None
-        for a in range(p.n):
-            for b in range(p.n):
-                if p.lt(a, b):
-                    color = coloring.color_of((min(image[a], image[b]),
-                                               max(image[a], image[b])))
-                    break
-            if color is not None:
-                break
-        return MonoWitness(KIND_SUBPOSET, color, elements=tuple(image))
+        color = None if pair is None else coloring.color_of((image[pair[0]], image[pair[1]]))
+        return MonoWitness(KIND_SUBPOSET, color, elements=image)
     return None
 
 
@@ -1063,8 +1086,22 @@ def _cube() -> GridPoset:
     return grid(2, 3)
 
 
-def _cube_incomparable_pairs(cube: GridPoset) -> list[tuple[int, int]]:
-    return list(cube.incomparable_pairs())
+@lru_cache(maxsize=None)
+def _cube_pair_maps() -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The cube's incomparable pairs (a, b) as (s[a], s[b]), per s in Aut(2^3)."""
+    cube = _cube()
+    pairs = list(cube.incomparable_pairs())
+    return tuple(tuple((s[a], s[b]) for a, b in pairs) for s in automorphisms(cube))
+
+
+def _trace_type(g3: GridPoset, image: Sequence[int]) -> tuple[tuple, bool]:
+    """``cube_trace_type`` of the embedding ``image``, whose copy's other
+    embeddings are image o s; the least axis permutation sorts the rows."""
+    axes = list(zip(*(g3.coords(e) for e in image)))
+    best = min(tuple(sorted(tuple((v[b] > v[a]) - (v[b] < v[a]) for a, b in pairs)
+                            for v in axes))
+               for pairs in _cube_pair_maps())
+    return best, all(0 not in row for row in best)
 
 
 def cube_trace_type(g3: GridPoset, elements: Sequence[int]
@@ -1077,44 +1114,16 @@ def cube_trace_type(g3: GridPoset, elements: Sequence[int]
     tie-free when no incomparable pair is tied on any axis, i.e. the
     coordinates induce a genuine realizer.
     """
-    cube = _cube()
-    sub = induced_subposet(g3, elements)
     elems = sorted(set(elements))
-    isos = list(enumerate_isomorphisms(cube, sub))
-    if not isos:
+    iso = is_isomorphic(_cube(), induced_subposet(g3, elems))
+    if iso is None:
         raise ContractViolation("element set does not induce a 2^3 copy")
-    pairs = _cube_incomparable_pairs(cube)
-    coords = {e: g3.coords(e) for e in elems}
-    best = None
-    tie_free = True
-    first = True
-    for iso in isos:
-        ambient = [coords[elems[iso[x]]] for x in range(8)]
-        table = []
-        for axis in range(3):
-            row = []
-            for a, b in pairs:
-                diff = ambient[b][axis] - ambient[a][axis]
-                sign = (diff > 0) - (diff < 0)
-                row.append(sign)
-            table.append(tuple(row))
-        if first:
-            tie_free = all(0 not in row for row in table)
-            first = False
-        for perm in permutations(range(3)):
-            enc = tuple(table[axis] for axis in perm)
-            if best is None or enc < best:
-                best = enc
-    return best, tie_free
+    return _trace_type(g3, [elems[i] for i in iso])
 
 
 def product_trace_type() -> tuple:
     """The type induced by any 2^3 subgrid (the standard product realizer)."""
-    g3 = grid(3, 3)
-    elements = [g3.index(c) for c in
-                ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1),
-                 (1, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1))]
-    return cube_trace_type(g3, elements)[0]
+    return _trace_type(_cube(), range(8))[0]
 
 
 @dataclass(frozen=True)
@@ -1148,6 +1157,11 @@ def enumerate_tie_free_cube_copies(g3: GridPoset,
     the incomparable rows handed to the kernel also exclude every element
     sharing a coordinate with the placed one.
     """
+    return [tuple(sorted(image)) for image in _tie_free_cube_embeddings(g3, guard_nodes)]
+
+
+def _tie_free_cube_embeddings(g3: GridPoset, guard_nodes: int) -> Iterator[tuple[int, ...]]:
+    """One embedding of 2^3 per tie-free copy, indexed by cube element."""
     if g3.t != 3:
         raise ContractViolation("the probe works on 3-dimensional grids")
     coords = [g3.coords(e) for e in range(g3.n)]
@@ -1162,9 +1176,8 @@ def enumerate_tie_free_cube_copies(g3: GridPoset,
     cube = _cube()
     checks = [c + o for c, o in zip(order_checks(cube, slot_order, g3, tie_free_inc),
                                     orbit_checks(cube, slot_order, g3.n))]
-    return [tuple(sorted(image)) for image in induced_embeddings(
-        slot_order, checks, [(1 << g3.n) - 1] * 8, guard_nodes,
-        "tie-free copy search exceeded its node guard")]
+    return induced_embeddings(slot_order, checks, [(1 << g3.n) - 1] * 8, guard_nodes,
+                              "tie-free copy search exceeded its node guard")
 
 
 def realizer_type_probe(n: int, scope: str = "tie-free",
@@ -1179,44 +1192,38 @@ def realizer_type_probe(n: int, scope: str = "tie-free",
     copy inside it to generate one realizer type.
     """
     g3 = grid(n, 3)
-    census: dict[tuple, int] = {}
-    tie_census: dict[tuple, int] = {}
     if scope == "all":
-        copies = enumerate_induced_copy_sets(g3, _cube(), guard_copies=guard_copies,
-                                             guard_nodes=guard_nodes)
-        for elements in copies:
-            tkey, tie_free = cube_trace_type(g3, elements)
-            census[tkey] = census.get(tkey, 0) + 1
-            if tie_free:
-                tie_census[tkey] = tie_census.get(tkey, 0) + 1
+        images = _copy_search(g3, _cube(), None, None, guard_nodes, one_per_orbit=True)
     elif scope == "tie-free":
-        copies = enumerate_tie_free_cube_copies(g3, guard_nodes=guard_nodes)
-        if len(copies) > guard_copies:
-            raise GuardExceeded("tie-free census exceeded its copy guard")
-        for elements in copies:
-            tkey, tie_free = cube_trace_type(g3, elements)
-            if not tie_free:
-                raise ContractViolation("tie-free enumerator produced a tied copy")
-            census[tkey] = census.get(tkey, 0) + 1
-            tie_census[tkey] = tie_census.get(tkey, 0) + 1
+        images = _tie_free_cube_embeddings(g3, guard_nodes)
     else:
         raise ContractViolation(f"unknown probe scope {scope!r}")
+    census, tie_census = Counter(), Counter()
+    copies = 0
+    for image in images:
+        copies += 1
+        if copies > guard_copies:
+            raise GuardExceeded("probe census exceeded its copy guard")
+        tkey, tie_free = _trace_type(g3, image)
+        census[tkey] += 1
+        if tie_free:
+            tie_census[tkey] += 1
+        elif scope == "tie-free":
+            raise ContractViolation("tie-free enumerator produced a tied copy")
     return ProbeReport(
         n=n,
-        copies_scanned=len(copies),
+        copies_scanned=copies,
         census=tuple(sorted(census.items())),
         tie_free_census=tuple(sorted(tie_census.items())),
         product_type=product_trace_type(),
     )
 
 
-def embed_cube_by_extensions(n: int, exts: Sequence[LinearExtension],
-                             value_sets: Optional[Sequence[Sequence[int]]] = None
-                             ) -> tuple[int, ...]:
+def embed_cube_by_extensions(n: int, exts: Sequence[LinearExtension]) -> tuple[int, ...]:
     """Separated 2^3 copy of n^3 built from a realizer triple's positions.
 
-    Axis i of the image of x is value_sets[i][position of x in exts[i]];
-    value sets default to 0..7, which needs n >= 8.
+    Axis i of the image of x is the position of x in exts[i], which needs
+    n >= 8.
     """
     cube = _cube()
     if len(exts) != 3:
@@ -1224,14 +1231,8 @@ def embed_cube_by_extensions(n: int, exts: Sequence[LinearExtension],
     for ext in exts:
         if not is_linear_extension(cube, ext):
             raise ContractViolation("order is not a linear extension of the cube")
-    if value_sets is None:
-        value_sets = [list(range(8))] * 3
     g3 = grid(n, 3)
-    image = []
-    for x in range(8):
-        coordsx = tuple(sorted(value_sets[i])[exts[i].index(x)] for i in range(3))
-        image.append(g3.index(coordsx))
-    return tuple(image)
+    return tuple(g3.index(tuple(ext.index(x) for ext in exts)) for x in range(8))
 
 
 def cube_realizer_triples(limit: Optional[int] = None) -> list[tuple[LinearExtension, ...]]:

@@ -19,16 +19,18 @@ from gridlab.graphs import (
 )
 from gridlab.grids import grid
 from gridlab.poset import Poset, automorphisms, enumerate_isomorphisms, \
-    induced_embeddings, make_chain, orbit_checks, order_checks
+    induced_embeddings, iter_bits, make_chain, orbit_checks, order_checks
 from gridlab.ramsey import (
     KIND_COMPARABILITY,
     NODE_GUARD,
+    FunctionColoring,
     MapColoring,
     _copy_search,
     cube_trace_type,
     enumerate_induced_copy_sets,
     enumerate_tie_free_cube_copies,
     find_monochromatic_copy,
+    hash_coloring,
     induced_copies,
 )
 
@@ -147,6 +149,83 @@ def test_one_embedding_per_orbit_matches_the_full_walk():
         found = find_monochromatic_copy(q, p, coloring, within)
         expected = next(induced_copies(q, p, within, coloring), None)
         assert (found.elements if found else None) == expected
+
+
+def _filtered_walk(q, p, coloring, within=None):
+    """The plain walk of induced_copies, kept where the comparable pairs
+    share a color, with that color (None for a pattern without pairs)."""
+    out = []
+    for image in induced_copies(q, p, within):
+        colors = {coloring.color_of((image[a], image[b])) for a, b in p.comparable_pairs()}
+        if len(colors) <= 1:
+            out.append((image, next(iter(colors), None)))
+    return out
+
+
+@pytest.mark.parametrize("k, t", [(3, 2), (4, 2), (5, 2), (3, 3)])
+def test_colored_searches_match_the_filtered_walk(k, t):
+    q = grid(k, t)
+    rng = random.Random(100 * k + t)
+    hits = 0
+    for r in range(1, 6):
+        for _ in range(8):
+            p = rng.choice([grid(2, 2), make_chain(2), make_chain(3),
+                            _random_poset(rng.randint(2, 4), rng, density=0.5)])
+            within = None
+            if rng.random() < 0.5:
+                within = rng.sample(range(q.n), rng.randint(p.n, q.n))
+            # Color 1 takes most pairs, so monochromatic copies exist at every r.
+            coloring = MapColoring(KIND_COMPARABILITY, r, {
+                pair: 1 if rng.random() < 0.6 else rng.randint(1, r)
+                for pair in q.comparable_pairs()})
+            reference = _filtered_walk(q, p, coloring, within)
+            assert list(induced_copies(q, p, within, coloring)) == \
+                [image for image, _ in reference]
+            found = find_monochromatic_copy(q, p, coloring, within)
+            if not reference:
+                assert found is None
+                continue
+            hits += 1
+            assert (found.elements, found.color) == reference[0]
+    assert hits > 20
+
+
+def test_colored_search_colors_only_the_rows_it_reads():
+    # Rows are built when the search first reads them: the early witness on
+    # a 400-element host colors the up rows of five placed elements, each
+    # pair once, and not the other 41,883 comparable pairs.
+    q, p = grid(20, 2), grid(2, 2)
+    base = hash_coloring(KIND_COMPARABILITY, 2, 7)
+    keys = []
+
+    def color_of(key):
+        keys.append(key)
+        return base.color_of(key)
+
+    found = find_monochromatic_copy(q, p, FunctionColoring(KIND_COMPARABILITY, 2, color_of))
+    assert (found.elements, found.color) == ((0, 1, 20, 27), 1)
+    placed = {a for a, _ in keys}
+    assert placed == {0, 1, 4, 20, 22}
+    assert sorted(set(keys)) == [(v, w) for v in sorted(placed) for w in iter_bits(q.up[v])]
+    assert len(keys) == len(set(keys)) + 1  # the witness's color, read once more
+
+
+def test_each_color_search_has_its_own_node_guard():
+    # Every pair colored 1: color 1's search is the uncolored walk, node for
+    # node, and color 2's search only tries the first step's candidates.
+    q, p = grid(4, 2), grid(2, 2)
+    walk = induced_copies(q, p)
+    while True:
+        try:
+            next(walk)
+        except StopIteration as done:
+            nodes = done.value
+            break
+    coloring = MapColoring(KIND_COMPARABILITY, 2, {pair: 1 for pair in q.comparable_pairs()})
+    assert len(list(induced_copies(q, p, coloring=coloring, guard_nodes=nodes))) == \
+        len(list(induced_copies(q, p)))
+    with pytest.raises(GuardExceeded, match="copy search"):
+        list(induced_copies(q, p, coloring=coloring, guard_nodes=nodes - 1))
 
 
 def _chain_orders(p, order):

@@ -1,13 +1,15 @@
 """Coloring reductions, monochromatic search, Ramsey verification, bootstrap."""
 
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
-from gridlab.errors import ChainStepFailure, ContractViolation
+from gridlab import ramsey
+from gridlab.errors import ChainStepFailure, ContractViolation, GuardExceeded
 from gridlab.grids import Subgrid, casual_embeddings, core_elements, grid
-from gridlab.poset import make_antichain, make_chain
+from gridlab.poset import enumerate_isomorphisms, induced_subposet, make_antichain, make_chain
 from gridlab.ramsey import (
     KIND_COMPARABILITY,
     KIND_SUBGRID,
@@ -21,9 +23,11 @@ from gridlab.ramsey import (
     cube_trace_type,
     embed_cube_by_extensions,
     enumerate_induced_copy_sets,
+    enumerate_tie_free_cube_copies,
     find_monochromatic_copy,
     find_monochromatic_subgrid,
     hash_coloring,
+    induced_copies,
     min_ramsey_n,
     multicolor_bootstrap,
     product_trace_type,
@@ -187,6 +191,44 @@ def test_find_monochromatic_copy_single_comparability():
     w = find_monochromatic_copy(q, make_chain(2), c)
     assert w is not None and len(w.elements) == 2
     assert find_monochromatic_copy(make_antichain(3), make_chain(2), c) is None
+
+
+def test_copy_searches_refuse_another_kind():
+    q, p = grid(3, 2), grid(2, 2)
+    coloring = hash_coloring(KIND_SUBPOSET, 2, 1)
+    with pytest.raises(ContractViolation, match="comparability coloring"):
+        list(induced_copies(q, p, coloring=coloring))
+    with pytest.raises(ContractViolation, match="comparability coloring"):
+        find_monochromatic_copy(q, p, coloring)
+
+
+def test_pattern_without_comparable_pairs_keeps_color_none():
+    q, p = grid(3, 2), make_antichain(2)
+    coloring = hash_coloring(KIND_COMPARABILITY, 3, 2)
+    assert list(induced_copies(q, p, coloring=coloring)) == list(induced_copies(q, p))
+    found = find_monochromatic_copy(q, p, coloring)
+    assert found.color is None and found.elements == next(induced_copies(q, p))
+
+
+def test_function_coloring_finds_the_witness_of_its_map():
+    q, p = grid(6, 2), grid(2, 2)
+    for seed in range(4):
+        fn = hash_coloring(KIND_COMPARABILITY, 3, seed)
+        values = MapColoring(KIND_COMPARABILITY, 3,
+                             {key: fn.color_of(key) for key in comparability_keys(q)})
+        found = find_monochromatic_copy(q, p, fn)
+        assert found is not None and found == find_monochromatic_copy(q, p, values)
+
+
+def test_missing_pair_raises_once_the_search_reads_it():
+    q, p = grid(3, 2), grid(2, 2)
+    partial = MapColoring(KIND_COMPARABILITY, 2,
+                          {key: 1 for key in comparability_keys(q) if key != (0, 4)})
+    with pytest.raises(ContractViolation, match="not total"):
+        find_monochromatic_copy(q, p, partial)
+    # Without element 4 the search never reads the missing pair.
+    found = find_monochromatic_copy(q, p, partial, within=[0, 1, 2, 3, 5, 6, 7, 8])
+    assert (found.elements, found.color) == ((0, 1, 3, 5), 1)
 
 
 def test_chain6_all_two_colorings_have_mono_chain3():
@@ -443,6 +485,74 @@ def test_probe_tie_free_census():
     assert rep4.copies_scanned == 64
     assert rep4.distinct_types == 12  # at least two fundamentally different
     assert all(count > 0 for _, count in rep4.census)
+
+
+def _isomorphism_minimum_type(g3, elements):
+    """The probe's former per-copy typing: every isomorphism of the cube onto
+    the copy's induced subposet, every axis permutation, the least encoding."""
+    cube = grid(2, 3)
+    sub = induced_subposet(g3, elements)
+    elems = sorted(set(elements))
+    isos = list(enumerate_isomorphisms(cube, sub))
+    assert isos
+    pairs = list(cube.incomparable_pairs())
+    best = None
+    tie_free = True
+    first = True
+    for iso in isos:
+        ambient = [g3.coords(elems[iso[x]]) for x in range(8)]
+        table = []
+        for axis in range(3):
+            row = []
+            for a, b in pairs:
+                diff = ambient[b][axis] - ambient[a][axis]
+                row.append((diff > 0) - (diff < 0))
+            table.append(tuple(row))
+        if first:
+            tie_free = all(0 not in row for row in table)
+            first = False
+        for perm in permutations(range(3)):
+            enc = tuple(table[axis] for axis in perm)
+            if best is None or enc < best:
+                best = enc
+    return best, tie_free
+
+
+@pytest.mark.parametrize("n, scope", [(3, "all"), (4, "tie-free")])
+def test_trace_types_match_the_isomorphism_minimum(n, scope):
+    g3 = grid(n, 3)
+    if scope == "all":
+        copies = enumerate_induced_copy_sets(g3, grid(2, 3))
+    else:
+        copies = enumerate_tie_free_cube_copies(g3)
+    census = Counter()
+    for elements in copies:
+        want = _isomorphism_minimum_type(g3, elements)
+        assert cube_trace_type(g3, elements) == want
+        census[want[0]] += 1
+    # The probe types each copy from the embedding its search found.
+    assert realizer_type_probe(n, scope=scope).census == tuple(sorted(census.items()))
+
+
+def test_trace_types_match_the_isomorphism_minimum_on_sampled_4_cube_copies():
+    # All 262,144 copies of 2^3 in 4^3 take minutes by the reference typing.
+    g4 = grid(4, 3)
+    copies = enumerate_induced_copy_sets(g4, grid(2, 3))
+    assert len(copies) == 262_144
+    for elements in random.Random(3).sample(copies, 1500):
+        assert cube_trace_type(g4, elements) == _isomorphism_minimum_type(g4, elements)
+    subgrid = [0, 1, 3, 4, 9, 10, 12, 13]  # {0, 1}^3 in 3^3
+    assert product_trace_type() == _isomorphism_minimum_type(grid(3, 3), subgrid)[0]
+
+
+def test_probe_refuses_a_tied_copy_and_counts_its_guard(monkeypatch):
+    assert realizer_type_probe(4, guard_copies=64).copies_scanned == 64
+    with pytest.raises(GuardExceeded, match="copy guard"):
+        realizer_type_probe(4, guard_copies=63)
+    subgrid = [0, 1, 3, 4, 9, 10, 12, 13]
+    monkeypatch.setattr(ramsey, "_tie_free_cube_embeddings", lambda g3, guard: [subgrid])
+    with pytest.raises(ContractViolation, match="tied copy"):
+        realizer_type_probe(3)
 
 
 def test_probe_all_scope_small():
