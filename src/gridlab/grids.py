@@ -58,13 +58,19 @@ class GridPoset(Poset):
         return f"GridPoset(k={self.k}, t={self.t})"
 
 
-def grid(k: int, t: int, guard_elements: int = GRID_ELEMENT_GUARD) -> GridPoset:
-    """The k^t grid with componentwise order and projection accessors."""
+def grid_size(k: int, t: int, guard_elements: int = GRID_ELEMENT_GUARD) -> int:
+    """The number of elements of k^t, refused as ``grid`` refuses that grid."""
     if k < 1 or t < 1:
         raise ContractViolation("grid needs k >= 1 and t >= 1")
     n = k ** t
     if n > guard_elements:
         raise GuardExceeded(f"grid would have {n} elements (guard {guard_elements})")
+    return n
+
+
+def grid(k: int, t: int, guard_elements: int = GRID_ELEMENT_GUARD) -> GridPoset:
+    """The k^t grid with componentwise order and projection accessors."""
+    n = grid_size(k, t, guard_elements)
     # ge[a][v] = bitmask of elements whose a-th coordinate is >= v
     ge = [[0] * k for _ in range(t)]
     coords = [0] * t

@@ -31,11 +31,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import merge
 from itertools import combinations, product as iproduct
-from operator import add
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ChainStepFailure, ContractViolation, GuardExceeded
-from .grids import GridPoset, Subgrid, grid
+from .grids import GridPoset, Subgrid, grid, grid_size
 from .poset import (
     LinearExtension,
     Poset,
@@ -559,12 +559,13 @@ class _NodeGuard(GuardExceeded):
 class _Engine:
     """``search_counterexample``'s walk over one instance, its index built once.
 
-    ``walk(node_guard, split=None, state=None)`` searches depth first from
-    ``state`` (default: nothing colored). In search order it yields ``(nodes,
-    state, coloring)`` for each complete coloring and, given ``split``,
-    ``(nodes, state, None)`` for each live state ``split`` branchings down,
-    whose subtree it skips; then ``(nodes, None, None)``. ``nodes`` counts the
-    nodes so far; a state is (assigned, col, forb).
+    ``walk(node_guard, handoff=math.inf, state=None)`` searches depth first
+    from ``state`` (default: nothing colored). In search order it yields
+    ``(nodes, state, coloring)`` for each complete coloring and, once more
+    than ``handoff`` nodes are spent, ``(nodes, state, None)`` for each live
+    state it reaches, whose subtree it skips: the untried siblings along the
+    path, deepest first. Then it yields ``(nodes, None, None)``. ``nodes``
+    counts the nodes so far; a state is (assigned, col, forb).
 
     With a ``symmetry`` the walk keeps its constraints: a key is branched
     only on the colors they admit, and a state whose propagation colored a
@@ -681,7 +682,7 @@ class _Engine:
 
         tries, passes = (None, None) if symmetry is None else symmetry.constraints(colors)
 
-        def walk(node_guard, split=None, state=None):
+        def walk(node_guard, handoff=math.inf, state=None):
             assigned, col, forb = state or (-1 if empty else 0, [0] * (r + 1), [0] * (r + 1))
             full = (1 << num_keys) - 1
             # A frame: (the lowest uncolored key, its bit, its colors left to try, the
@@ -717,7 +718,7 @@ class _Engine:
                     continue
                 if assigned == full:
                     yield nodes, (assigned, col, forb), coloring(col)
-                elif len(stack) == split:
+                elif nodes > handoff:
                     yield nodes, (assigned, col, forb), None
                 else:
                     low = ~assigned & (assigned + 1)
@@ -750,51 +751,67 @@ def _shard_worker(state, budget: int):
         return None, budget + 1
 
 
+# The node count past which a ``--workers`` search hands the frontier of its
+# serial walk to a process pool: the walk's clock-check interval, so a search
+# too short to check the clock forks nothing.
+_HANDOFF = 0x1000
+
+
 def _parallel_counterexample(num_keys: int, structures, r: int,
                              node_guard: int, workers: int,
                              symmetry: Optional[Symmetry] = None):
-    """``search_counterexample`` from nothing, its subtrees searched in processes.
+    """``search_counterexample`` from nothing, its frontier searched in processes.
 
-    The serial walk runs here to a small split depth. Each live state there is
-    a shard, reached after ``before`` nodes (a coloring completed above it is
-    a last shard with nothing to search), and a worker searches it within
-    ``node_guard - before`` nodes. The serial search reaches a shard after its
-    ``before`` plus the earlier shards' nodes, so results are read and summed
-    in shard order: node counts, witnesses and verdicts are the serial ones.
+    The serial walk runs here, and a search that ends within ``_HANDOFF``
+    nodes (a coloring, none, or the guard) is the serial one and starts no
+    pool. Past them, each live state the walk reaches is a shard, in serial
+    order: the untried siblings along its path, deepest first. A shard is
+    reached after ``before`` nodes (a coloring completed there is a last
+    shard with nothing to search), and a worker searches it within
+    ``node_guard - before`` nodes. The serial search reaches a shard after
+    its ``before`` plus the earlier shards' nodes, so results are read and
+    summed in shard order: node counts, witnesses and verdicts are the
+    serial ones.
     """
-    depth = 1
-    while r ** depth < workers * 2 and depth < num_keys:
-        depth += 1
     engine = _Engine(num_keys, structures, r, symmetry)
     shards = []  # (the walk's nodes before the shard, its state)
-    for top, state, colors in engine.walk(math.inf, split=depth):
-        if state is None:
-            break
-        shards.append((top, state))
-        if colors is not None:
-            break  # the serial search ends at its first coloring
+    try:
+        for top, state, colors in engine.walk(node_guard, handoff=_HANDOFF):
+            if state is None:
+                break
+            if colors is not None and not shards:
+                return colors  # the serial search found it before the first shard
+            shards.append((top, state))
+            if colors is not None:
+                break  # the serial search ends at its first coloring
+    except _NodeGuard:
+        if not shards:
+            raise  # the serial search's own guard
+        top = node_guard + 1  # the frontier after the shards runs past the guard
+    if not shards:
+        return None  # the serial search ended without one
     nodes = 0  # the shards' nodes so far
-    if shards:
-        context = multiprocessing.get_context()
-        stop = context.Event()
-        size = min(workers, len(shards), os.cpu_count() or 1)
-        with ProcessPoolExecutor(size, mp_context=context, initializer=_init_shard,
-                                 initargs=(_DEADLINE, stop, engine)) as pool:
-            futures = [pool.submit(_shard_worker, state, node_guard - before)
-                       for before, state in shards]
-            try:
-                for i, (before, _) in enumerate(shards):
-                    result, count = futures[i].result()
-                    nodes += count
-                    if before + nodes > node_guard:
-                        raise GuardExceeded(f"counterexample search exceeded its node guard "
-                                            f"{node_guard} by shard {i + 1}/{len(shards)}")
-                    if result is not None:
-                        return result
-            finally:
-                stop.set()
-                for fut in futures:
-                    fut.cancel()
+    context = multiprocessing.get_context()
+    stop = context.Event()
+    size = min(workers, len(shards), os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(size, mp_context=context, initializer=_init_shard,
+                               initargs=(_DEADLINE, stop, engine))
+    try:
+        futures = [pool.submit(_shard_worker, state, node_guard - before)
+                   for before, state in shards]
+        for i, (before, _) in enumerate(shards):
+            result, count = futures[i].result()
+            nodes += count
+            if before + nodes > node_guard:
+                raise GuardExceeded(f"counterexample search exceeded its node guard "
+                                    f"{node_guard} by shard {i + 1}/{len(shards)}")
+            if result is not None:
+                return result
+    finally:
+        # A worker still on a later shard stops at its next clock check; the
+        # answer does not wait for it.
+        stop.set()
+        pool.shutdown(wait=False, cancel_futures=True)
     if top + nodes > node_guard:
         raise GuardExceeded(f"counterexample search exceeded its node guard {node_guard} "
                             f"after its {len(shards)} shards")
@@ -891,23 +908,26 @@ def verify_grid_ramsey(kind: str, t: int, r: int, m: int, l: int, n: int, *,
         return run_engine(keys, structures, r, KIND_SUBGRID, node_guard, workers, symmetry)
     if kind in (KIND_SUBPOSET, "subposet"):
         # A set induces m^t in n^t exactly when it does so in any hull holding
-        # it, so a hull's keys are the keys inside it: looked up by their first
-        # and last element (keys are sorted), both of which lie in the hull.
+        # it, so a hull's keys are the m^t copies inside l^t mapped through the
+        # hull's embedding, and each is found by its element set.
         ambient, small, large = grid(n, t), grid(m, t), grid(l, t)
         try:
             keys = enumerate_induced_copy_sets(ambient, small)
-            by_ends = {}
-            for key in keys:
-                by_ends.setdefault((key[0], key[-1]), []).append(key)
+            where = {frozenset(key): i for i, key in enumerate(keys)}
+            # Repeating a copy's first element keeps a one-element pick a tuple.
+            picks = [itemgetter(*copy, copy[0]) for copy in
+                     enumerate_induced_copy_sets(large, small)]
 
-            def inside(hull):
-                _check_deadline()
-                members = set(hull)
-                return [key for i, low in enumerate(hull) for high in hull[i:]
-                        for key in by_ends.get((low, high), ()) if members.issuperset(key)]
+            def hulls():
+                embeddings = _copy_search(ambient, large, None, None, NODE_GUARD,
+                                          one_per_orbit=True)
+                for count, image in enumerate(embeddings, 1):
+                    if count > COPY_GUARD:
+                        raise GuardExceeded("induced-copy enumeration exceeded its guard")
+                    _check_deadline()
+                    yield tuple(sorted([where[frozenset(pick(image))] for pick in picks]))
 
-            structures = index_structures(keys, map(
-                inside, enumerate_induced_copy_sets(ambient, large)))
+            structures = list(dict.fromkeys(hulls()))  # as index_structures gives them
         except GuardExceeded as exc:
             return Verdict("inconclusive", reason=str(exc))
         return run_engine(keys, structures, r, KIND_SUBPOSET, node_guard, workers)
@@ -1223,7 +1243,7 @@ def embed_cube_by_extensions(n: int, exts: Sequence[LinearExtension]) -> tuple[i
     """Separated 2^3 copy of n^3 built from a realizer triple's positions.
 
     Axis i of the image of x is the position of x in exts[i], which needs
-    n >= 8.
+    n >= 8. The images are indexed in n^3 as ``GridPoset.index`` does.
     """
     cube = _cube()
     if len(exts) != 3:
@@ -1231,8 +1251,17 @@ def embed_cube_by_extensions(n: int, exts: Sequence[LinearExtension]) -> tuple[i
     for ext in exts:
         if not is_linear_extension(cube, ext):
             raise ContractViolation("order is not a linear extension of the cube")
-    g3 = grid(n, 3)
-    return tuple(g3.index(tuple(ext.index(x) for ext in exts)) for x in range(8))
+    grid_size(n, 3)
+    images = []
+    for x in range(8):
+        idx = 0
+        for ext in exts:
+            c = ext.index(x)
+            if c >= n:
+                raise ContractViolation(f"coordinate {c} outside 0..{n - 1}")
+            idx = idx * n + c
+        images.append(idx)
+    return tuple(images)
 
 
 def cube_realizer_triples(limit: Optional[int] = None) -> list[tuple[LinearExtension, ...]]:

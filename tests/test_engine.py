@@ -164,10 +164,14 @@ def test_serial_and_parallel_witnesses_agree():
     assert sorted(serial.counterexample.items()) == sorted(parallel.counterexample.items())
 
 
-def test_guard_reasons_say_where_the_search_stopped():
+def test_guard_reasons_say_where_the_search_stopped(monkeypatch):
     symmetry = "lex-leader symmetry breaking over S_11 x S_3"
-    assert _chain11(100).reason == \
-        f"counterexample search exceeded its node guard 100 at depth 13/55; {symmetry}"
+    serial = f"counterexample search exceeded its node guard 100 at depth 13/55; {symmetry}"
+    assert _chain11(100).reason == serial
+    # Within the handoff a --workers search is the serial one; past it, a shard
+    # runs past the guard.
+    assert _chain(11, 100, workers=2).reason == serial
+    monkeypatch.setattr(ramsey, "_HANDOFF", 10)
     parallel = _chain(11, 100, workers=2)
     assert parallel.status == "inconclusive"
     assert re.fullmatch(r"counterexample search exceeded its node guard 100 "
@@ -239,7 +243,8 @@ def _sharded_instances(draw):
     structures += [rnd.sample(range(num_keys), rnd.randint(2, 4))
                    for _ in range(rnd.randint(0, 3))]
     guard = rnd.choice([50, 500, 10 ** 6])
-    return num_keys, [tuple(sorted(s)) for s in structures], r, guard
+    handoff = rnd.choice([0, 1, 5, 40, 400, ramsey._HANDOFF])
+    return num_keys, [tuple(sorted(s)) for s in structures], r, guard, handoff
 
 
 def _outcome(search, *args, **kwargs):
@@ -252,9 +257,11 @@ def _outcome(search, *args, **kwargs):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(_sharded_instances())
 def test_parallel_search_matches_the_serial_search(instance):
-    num_keys, structures, r, guard = instance
+    num_keys, structures, r, guard, handoff = instance
     serial = _outcome(search_counterexample, num_keys, structures, r, guard)
-    parallel = _outcome(ramsey._parallel_counterexample, num_keys, structures, r, guard, 2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ramsey, "_HANDOFF", handoff)
+        parallel = _outcome(ramsey._parallel_counterexample, num_keys, structures, r, guard, 2)
     assert parallel == serial
 
 
@@ -268,17 +275,20 @@ class _RefusingPool:
         raise RuntimeError("no pool in this test")
 
 
-@pytest.mark.parametrize("num_keys, structures, workers, cpus, size", [
-    # Two shards at split depth 3: key 0 is pinned, coloring key 1 with 1
-    # forces keys 2 and 3 to 2, a conflict, and key 2 then takes either color.
-    pytest.param(5, [(0, 1, 2), (0, 1, 3), (2, 3)], 4, 64, 2, id="5-4-64-2"),
-    pytest.param(30, [(0, 1)], 64, 3, 3, id="30-64-3-3"),  # capped by the CPU count
+@pytest.mark.parametrize("num_keys, structures, handoff, workers, cpus, size", [
+    # Two shards past a handoff of 3 nodes: key 0 is pinned, coloring key 1
+    # with 1 forces keys 2 and 3 to 2, a conflict, key 1 takes 2 at node 3,
+    # and key 2 then takes either color.
+    pytest.param(5, [(0, 1, 2), (0, 1, 3), (2, 3)], 3, 4, 64, 2, id="5-4-64-2"),
+    # 11 shards past a handoff of 10, capped by the CPU count
+    pytest.param(30, [(0, 1)], 10, 64, 3, 3, id="30-64-3-3"),
     # an unknown CPU count counts as one
-    pytest.param(30, [(0, 1)], 64, None, 1, id="30-64-None-1"),
+    pytest.param(30, [(0, 1)], 10, 64, None, 1, id="30-64-None-1"),
 ])
 def test_the_pool_is_never_larger_than_the_shards_or_cpus(monkeypatch, num_keys, structures,
-                                                          workers, cpus, size):
+                                                          handoff, workers, cpus, size):
     monkeypatch.setattr(ramsey, "ProcessPoolExecutor", _RefusingPool)
+    monkeypatch.setattr(ramsey, "_HANDOFF", handoff)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     _RefusingPool.sizes.clear()
     with pytest.raises(RuntimeError, match="no pool"):
@@ -288,27 +298,38 @@ def test_the_pool_is_never_larger_than_the_shards_or_cpus(monkeypatch, num_keys,
 
 def test_a_frontier_without_shards_starts_no_pool(monkeypatch):
     monkeypatch.setattr(ramsey, "ProcessPoolExecutor", _RefusingPool)
+    monkeypatch.setattr(ramsey, "_HANDOFF", 1)
     _RefusingPool.sizes.clear()
-    # Key 1 dies in both colors, so the walk ends after 3 nodes above the split.
+    # Key 1 dies in both colors, so the walk passes the handoff at node 2 and
+    # ends after 3 nodes with no live state past it: the serial search.
     triangle = [(1, 2), (1, 3), (2, 3)]
     assert ramsey._parallel_counterexample(5, triangle, 2, 3, 2) is None
-    with pytest.raises(GuardExceeded, match="node guard 2 after its 0 shards"):
+    with pytest.raises(GuardExceeded, match="node guard 2 at depth 1/5$"):
         ramsey._parallel_counterexample(5, triangle, 2, 2, 2)
+    assert _RefusingPool.sizes == []
+
+
+def test_a_search_within_the_handoff_starts_no_pool(monkeypatch):
+    monkeypatch.setattr(ramsey, "ProcessPoolExecutor", _RefusingPool)
+    _RefusingPool.sizes.clear()
+    # The 5 x 5 cells at r = 2 settle "true" in 130 nodes, and the 6 x 6 cells
+    # at r = 3 "false" in 276.
+    cells = verify_grid_ramsey(KIND_SUBGRID, 2, 2, 1, 2, 5, workers=2)
+    assert cells.status == "true"
+    assert _cells6(workers=2).status == "false"
     assert _RefusingPool.sizes == []
 
 
 class _InlinePool:
     """Stands in for the process pool: runs the initializer, then each shard
-    as it is submitted, in this process; restores the worker globals on exit."""
+    as it is submitted, in this process; restores the worker globals on
+    shutdown."""
 
     def __init__(self, max_workers=None, mp_context=None, initializer=None, initargs=()):
         self.saved = ramsey._DEADLINE, ramsey._STOP, ramsey._ENGINE
         initializer(*initargs)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
+    def shutdown(self, wait=True, cancel_futures=False):
         ramsey._DEADLINE, ramsey._STOP, ramsey._ENGINE = self.saved
 
     def submit(self, fn, *args):
@@ -345,9 +366,11 @@ def test_shard_accounting_at_every_guard(monkeypatch, verify, finish, found):
         serial = _outcome(search_counterexample, num_keys, structures, r, guard, symmetry)
         if guard < finish:
             assert serial == "guard"
-        for workers in (2, 4):
-            assert _outcome(ramsey._parallel_counterexample, num_keys, structures, r,
-                            guard, workers, symmetry) == serial, (guard, workers)
+        for handoff in range(finish + 1):
+            monkeypatch.setattr(ramsey, "_HANDOFF", handoff)
+            for workers in (2, 4):
+                assert _outcome(ramsey._parallel_counterexample, num_keys, structures, r,
+                                guard, workers, symmetry) == serial, (guard, handoff, workers)
     assert (serial is not None) == found
 
 
@@ -575,6 +598,43 @@ def test_subposet_hulls_filled_by_lookup_match_the_kernel(monkeypatch, t, m, l, 
     keys, structures, _, _ = _engine_inputs(
         monkeypatch, lambda: verify_grid_ramsey(KIND_SUBPOSET, t, 2, m, l, n))
     assert (keys, structures) == _subposet_reference(t, m, l, n)
+
+
+def _subposet_by_lookup(t, m, l, n):
+    """The subposet kind's keys and structures, each hull's keys looked up by
+    their first and last element and kept if the hull holds them all."""
+    ambient = grid(n, t)
+    keys = enumerate_induced_copy_sets(ambient, grid(m, t))
+    by_ends = {}
+    for key in keys:
+        by_ends.setdefault((key[0], key[-1]), []).append(key)
+
+    def inside(hull):
+        members = set(hull)
+        return [key for i, low in enumerate(hull) for high in hull[i:]
+                for key in by_ends.get((low, high), ()) if members.issuperset(key)]
+
+    return keys, index_structures(keys, map(inside, enumerate_induced_copy_sets(
+        ambient, grid(l, t))))
+
+
+@pytest.mark.parametrize("t, m, l, n", [
+    (2, 1, 2, 6), (2, 1, 2, 8), (2, 2, 3, 5), (2, 2, 3, 6), (3, 1, 2, 4), (2, 1, 3, 6)])
+def test_subposet_hulls_mapped_from_the_pattern_match_the_lookup(monkeypatch, t, m, l, n):
+    keys, structures, _, _ = _engine_inputs(
+        monkeypatch, lambda: verify_grid_ramsey(KIND_SUBPOSET, t, 2, m, l, n))
+    assert (keys, structures) == _subposet_by_lookup(t, m, l, n)
+
+
+def test_subposet_hulls_keep_the_copy_guard(monkeypatch):
+    # 3^2 holds 25 induced copies of 2^2: the hulls of its 9 cells.
+    monkeypatch.setattr(ramsey, "run_engine", lambda *args: args[1])
+    monkeypatch.setattr(ramsey, "COPY_GUARD", 25)
+    assert len(verify_grid_ramsey(KIND_SUBPOSET, 2, 2, 1, 2, 3)) == 25
+    monkeypatch.setattr(ramsey, "COPY_GUARD", 24)
+    verdict = verify_grid_ramsey(KIND_SUBPOSET, 2, 2, 1, 2, 3)
+    assert (verdict.status, verdict.reason) == \
+        ("inconclusive", "induced-copy enumeration exceeded its guard")
 
 
 def test_subposet_hull_lookup_keeps_the_time_limit(monkeypatch):

@@ -1,6 +1,7 @@
 """Coloring reductions, monochromatic search, Ramsey verification, bootstrap."""
 
 import random
+import re
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -583,6 +584,35 @@ def test_probe_separated_types_distinguish_realizers():
         assert tf
         seen.add(tkey)
     assert len(seen) >= 2
+
+
+def _embed_through_the_grid(g3, exts):
+    """The cube image indexed by the built grid n^3."""
+    return tuple(g3.index(tuple(ext.index(x) for ext in exts)) for x in range(8))
+
+
+@pytest.mark.parametrize("n", [8, 11])
+def test_cube_embedding_indexes_as_the_grid_does(n):
+    g3 = grid(n, 3)
+    for tri in cube_realizer_triples()[::37]:
+        assert embed_cube_by_extensions(n, tri) == _embed_through_the_grid(g3, tri)
+
+
+@pytest.mark.parametrize("n, error, message", [
+    (7, ContractViolation, "coordinate 7 outside 0..6"),
+    (0, ContractViolation, "grid needs k >= 1 and t >= 1"),
+    (17, GuardExceeded, "grid would have 4913 elements (guard 4096)"),
+])
+def test_cube_embedding_refuses_as_the_grid_does(n, error, message):
+    tri = cube_realizer_triples(limit=1)[0]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        embed_cube_by_extensions(n, tri)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        _embed_through_the_grid(grid(n, 3), tri)
+    with pytest.raises(ContractViolation, match="exactly three orders"):
+        embed_cube_by_extensions(n, tri[:2])
+    with pytest.raises(ContractViolation, match="not a linear extension"):
+        embed_cube_by_extensions(n, (tri[0], tri[1], tri[2].dual()))
 
 
 def test_probe_axis_swap_same_type():
