@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from itertools import chain
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
@@ -36,23 +37,28 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
-def _read_json_text(path: PathLike) -> tuple[str, dict]:
-    """The file's text and the object it holds."""
+def read_text(path: PathLike) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: bad UTF-8
+        raise InvalidInput(f"cannot read {path}: {exc}") from exc
+
+
+def _parse_json(path: PathLike, text: str) -> dict:
+    try:
         payload = json.loads(text)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise InvalidInput(f"{path}: top-level value must be an object")
     if payload.get("format_version") != FORMAT_VERSION:
         raise InvalidInput(f"{path}: unsupported format_version")
-    return text, payload
+    return payload
 
 
 def _read_json(path: PathLike) -> dict:
-    return _read_json_text(path)[1]
+    return _parse_json(path, read_text(path))
 
 
 def _write_json(path: PathLike, payload: Mapping) -> None:
@@ -257,20 +263,58 @@ def _text_digest(text: str, digest) -> Optional[str]:
     return hashlib.sha256((head + tail).encode()).hexdigest()
 
 
+def _is_command(value) -> bool:
+    return isinstance(value, list) and all(isinstance(arg, str) for arg in value)
+
+
+_DIGEST_ENTRY = re.compile(r',"digest":"([0-9a-f]{64})",')
+
+
+def certificate_head(text: str) -> Optional[tuple[list, str]]:
+    """The command and digest of a canonical certificate file's text.
+
+    Only the command is decoded; the rest of the text is hashed, not parsed.
+    None unless the file starts ``{"command":[...],"digest":"<hex>",`` and its
+    text without that digest entry hashes to the digest.
+    """
+    if not text.startswith('{"command":'):
+        return None
+    try:
+        command, end = json.JSONDecoder().raw_decode(text, 11)
+    except (ValueError, RecursionError):
+        return None
+    entry = _DIGEST_ENTRY.match(text, end)
+    if not _is_command(command) or entry is None:
+        return None
+    digest = entry.group(1)
+    return (command, digest) if _text_digest(text, digest) == digest else None
+
+
 def load_certificate(path: PathLike) -> dict:
-    """Load a certificate whose digest matches its body.
+    """Load a certificate whose digest matches its body."""
+    return parse_certificate(path, read_text(path))
+
+
+def parse_certificate(path: PathLike, text: str) -> dict:
+    """The certificate in ``text``, read from ``path``, if its digest matches.
 
     The digest is checked over the file's own text first; only a file in
     another layout (indented, reordered) is re-encoded to check it. A file
     that digests its own non-canonical text passes here, so a caller that
     answers from the digest must confirm ``certificate_digest`` first.
     """
-    text, payload = _read_json_text(path)
+    payload = _parse_json(path, text)
     if payload.get("kind") != "certificate":
         raise InvalidInput(f"{path}: not a certificate file")
     if "digest" not in payload:
         raise InvalidInput(f"{path}: certificate has no digest")
     digest = payload["digest"]
-    if _text_digest(text, digest) != digest and certificate_digest(payload) != digest:
+    # A bad command is reported only when the payload's own digest matches:
+    # a file may digest its own text and still have been altered.
+    command_ok = _is_command(payload.get("command"))
+    if (not command_ok or _text_digest(text, digest) != digest) and \
+            certificate_digest(payload) != digest:
         raise InvalidInput(f"{path}: digest mismatch; payload was altered")
+    if not command_ok:
+        raise InvalidInput(f"{path}: command must be a list of strings")
     return payload

@@ -253,3 +253,175 @@ def test_unexpected_exception_exits_70_with_traceback(monkeypatch, capsys):
     assert cli.main(["grid", "core", "--s", "2"]) == cli.EX_SOFTWARE == 70
     err = capsys.readouterr().err
     assert "Traceback" in err and "RecursionError" in err
+
+
+# -- gridlab verify: the canonical head against the full load --------------------------
+
+
+def _reference_verify(args, argv):
+    """``gridlab verify`` as it was before the canonical head: load the whole file first."""
+    from gridlab.fileio import load_certificate
+    cert = load_certificate(args.certificate)
+    try:
+        rerun = cli.run(cert["command"])
+    except Exception:
+        cli._confirm_digest(args.certificate, cert)
+        raise
+    if rerun.certificate is not None and rerun.certificate["digest"] == cert["digest"]:
+        return cli.RunResult(cli.EX_TRUE, "certificate reproduced bit-exactly")
+    cli._confirm_digest(args.certificate, cert)
+    if rerun.certificate is None:
+        if rerun.exit_code not in (cli.EX_TRUE, cli.EX_FALSE):
+            return rerun
+        return cli.RunResult(cli.EX_DATAERR, "re-run produced no certificate")
+    return cli.RunResult(cli.EX_FALSE, "re-run did not reproduce the certificate")
+
+
+_VERIFY_SOURCES = {
+    "reduce-subposet": ["ramsey", "reduce", "--from", "subposet", "--n", "5", "--m", "2",
+                        "--seed", "7"],
+    "search": ["ramsey", "search", "--kind", "subgrid", "--t", "2", "--r", "2", "--m", "1",
+               "--l", "2", "--n-max", "5"],
+    "verify-true": ["ramsey", "verify", "--kind", "comparability", "--t", "1", "--r", "2",
+                    "--p-chain", "3", "--n", "6"],
+    "verify-false": ["ramsey", "verify", "--kind", "comparability", "--t", "1", "--r", "2",
+                     "--p-chain", "3", "--n", "5"],
+    "partition-ramsey": ["extension", "partition-ramsey", "--s", "2", "--t", "2", "--r", "2",
+                         "--k-max", "3"],
+}
+
+
+def _self_digested(text):
+    """``text`` with its digest replaced by the hash of its own text."""
+    from gridlab.fileio import _text_digest
+    start = text.index('"digest":"') + 10
+    digest = _text_digest(text, text[start:start + 64])
+    return text[:start] + digest + text[start + 64:]
+
+
+def _verify_variants(cert):
+    """File texts of one certificate, and whether ``gridlab verify`` re-runs each."""
+    from gridlab.fileio import canonical_json, certificate_digest
+    canonical = canonical_json(cert) + "\n"
+    tampered = dict(cert, verdict="tampered")
+    drifted = dict(cert, witness="drifted")
+    drifted["digest"] = certificate_digest(drifted)
+    version2 = dict(cert, format_version=2)
+    version2["digest"] = certificate_digest(version2)
+    cut = canonical[:(canonical.index('"format_version"') + len(canonical)) // 2]
+    return {
+        "canonical": (canonical, True),
+        "indented": (json.dumps(cert, indent=2), True),
+        "tampered": (canonical_json(tampered) + "\n", False),
+        "tampered-indented": (json.dumps(tampered, indent=2), False),
+        "drifted": (canonical_json(drifted) + "\n", True),
+        "truncated": (cut, False),
+        "truncated-self-digested": (_self_digested(cut), True),
+        "format-version-2": (canonical_json(version2) + "\n", True),
+    }
+
+
+def _count_reruns(monkeypatch, command):
+    calls = []
+    real_run = cli.run
+
+    def counting(argv):
+        if list(argv) == list(command):
+            calls.append(argv)
+        return real_run(argv)
+
+    monkeypatch.setattr(cli, "run", counting)
+    return calls
+
+
+@pytest.mark.parametrize("source", sorted(_VERIFY_SOURCES))
+def test_verify_answers_as_the_full_load_did(tmp_path, monkeypatch, source):
+    command = _VERIFY_SOURCES[source]
+    cert = cli.run(command).certificate
+    for variant, (text, reruns) in _verify_variants(cert).items():
+        path = tmp_path / f"{variant}.json"
+        path.write_text(text)
+        calls = _count_reruns(monkeypatch, command)
+        got = cli.run(["verify", str(path)])
+        assert len(calls) == reruns, (source, variant)
+        monkeypatch.setattr(cli, "_cmd_verify", _reference_verify)
+        want = cli.run(["verify", str(path)])
+        monkeypatch.undo()
+        assert (got.exit_code, got.output) == (want.exit_code, want.output), (source, variant)
+    assert cli.run(["verify", str(tmp_path / "canonical.json")]).exit_code == 0
+    assert cli.run(["verify", str(tmp_path / "drifted.json")]).exit_code == 1
+    assert cli.run(["verify", str(tmp_path / "format-version-2.json")]).output.endswith(
+        "unsupported format_version")
+
+
+def test_a_reproduced_canonical_certificate_is_never_loaded(tmp_path, monkeypatch):
+    from gridlab import fileio
+    cert = cli.run(_VERIFY_SOURCES["reduce-subposet"]).certificate
+    path = tmp_path / "cert.json"
+    save_certificate(path, cert)
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(cert, indent=2))
+
+    def parse(*args):
+        raise AssertionError("the witness of a reproduced canonical file is parsed")
+
+    monkeypatch.setattr(fileio, "load_certificate", parse)
+    monkeypatch.setattr(fileio, "parse_certificate", parse)
+    assert cli.run(["verify", str(path)]).exit_code == 0
+    with pytest.raises(AssertionError):  # another layout is loaded in full
+        cli.run(["verify", str(indented)])
+
+
+def test_a_crashing_re_run_is_raised_after_the_digest_is_confirmed(tmp_path, monkeypatch):
+    command = ["grid", "core", "--s", "2"]
+    cert = cli.run(command).certificate
+    path = tmp_path / "cert.json"
+    save_certificate(path, cert)
+    cut = tmp_path / "cut.json"
+    text = path.read_text()
+    cut.write_text(_self_digested(text[:text.index('"format_version"') + 5]))
+
+    def crash(args, argv):
+        raise RuntimeError("crashed")
+
+    monkeypatch.setattr(cli, "_cmd_grid", crash)
+    calls = _count_reruns(monkeypatch, command)
+    with pytest.raises(RuntimeError):
+        cli.run(["verify", str(path)])
+    result = cli.run(["verify", str(cut)])  # a crash never hides bad input
+    assert result.exit_code == 65 and "cannot read" in result.output
+    assert len(calls) == 2  # once per verify
+
+
+@pytest.mark.parametrize("command", [None, [1, 2], "grid"], ids=["null", "ints", "str"])
+def test_a_malformed_command_is_an_input_error(tmp_path, command):
+    from gridlab.fileio import certificate_digest
+    cert = make_certificate(["grid", "core", "--s", "2"], {}, "core", None)
+    cert["command"] = command
+    cert["digest"] = certificate_digest(cert)
+    missing = {k: v for k, v in cert.items() if k not in ("command", "digest")}
+    missing["digest"] = certificate_digest(missing)
+    for name, payload in (("cert", cert), ("missing", missing)):
+        for layout, text in (("canonical", None), ("indented", json.dumps(payload, indent=2))):
+            path = tmp_path / f"{name}-{layout}.json"
+            if text is None:
+                save_certificate(path, payload)
+            else:
+                path.write_text(text)
+            result = cli.run(["verify", str(path)])
+            assert (result.exit_code, result.output) == (
+                65, f"input error: {path}: command must be a list of strings")
+
+
+@pytest.mark.parametrize("prefix", [[], ["--workers", "2"], ["--work", "2"]],
+                         ids=["plain", "workers", "abbreviated"])
+def test_a_certificate_that_re_runs_verify_is_refused(tmp_path, monkeypatch, prefix):
+    path = tmp_path / "self.json"
+    command = prefix + ["verify", str(path)]
+    save_certificate(path, make_certificate(command, {}, "true", None))
+    verify = cli.run
+    calls = _count_reruns(monkeypatch, command)
+    result = verify(["verify", str(path)])  # counts only the re-runs
+    assert (result.exit_code, result.output) == (
+        65, f"input error: {path}: a certificate cannot re-run verify")
+    assert calls == []

@@ -12,6 +12,7 @@ from gridlab.errors import InvalidInput
 from gridlab.fileio import (
     canonical_json,
     certificate_digest,
+    certificate_head,
     coloring_payload,
     load_boolean_realizer,
     load_certificate,
@@ -134,6 +135,16 @@ def test_a_file_that_is_not_utf8_is_bad_input(tmp_path):
         load_certificate(path)
 
 
+def test_json_nested_too_deep_is_bad_input(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"command":' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert certificate_head(path.read_text()) is None
+    with pytest.raises(InvalidInput, match="cannot read"):
+        load_certificate(path)
+    with pytest.raises(InvalidInput, match="cannot read"):
+        load_poset(path)
+
+
 def test_a_canonical_certificate_loads_without_re_encoding(tmp_path, monkeypatch):
     cert = make_certificate(["grid", "core", "--s", "2"], {"s": 2, "digest": "x"}, "core",
                             [[0, 0], [1, 2], [2, 1], [3, 3]])
@@ -145,6 +156,42 @@ def test_a_canonical_certificate_loads_without_re_encoding(tmp_path, monkeypatch
 
     monkeypatch.setattr(fileio, "certificate_digest", re_encode)
     assert load_certificate(path) == cert
+
+
+def test_certificate_head_reads_only_a_canonical_file_that_hashes_to_its_digest(tmp_path):
+    command = ["grid", "core", "--s", "2"]
+    cert = make_certificate(command, {"s": 2}, "core", [[0, 0], [1, 2], [2, 1], [3, 3]])
+    path = tmp_path / "cert.json"
+    save_certificate(path, cert)
+    text = path.read_text()
+    assert certificate_head(text) == (command, cert["digest"])
+    assert certificate_head(text.removesuffix("\n")) == (command, cert["digest"])
+    digest = cert["digest"]
+    for other in (json.dumps(cert, indent=2),  # another layout
+                  text.replace('"core"', '"not-core"'),  # tampered
+                  text[:text.index('"format_version"') + 5],  # truncated
+                  text.replace(digest, digest.upper()),  # not lower-case hex
+                  text.replace(digest, digest[:-1]),  # not 64 digits
+                  text.replace('{"command":', '{ "command":'),
+                  text.replace('"command":["grid",', '"command":[ "grid",')):
+        assert certificate_head(other) is None
+
+
+@pytest.mark.parametrize("command", [None, [1, 2], "grid", ["grid", 2]])
+def test_a_certificate_command_must_be_a_list_of_strings(tmp_path, command):
+    cert = make_certificate([], {}, "core", None)
+    cert["command"] = command
+    cert["digest"] = certificate_digest(cert)
+    path = tmp_path / "cert.json"
+    save_certificate(path, cert)
+    assert certificate_head(path.read_text()) is None
+    with pytest.raises(InvalidInput, match="command must be a list of strings"):
+        load_certificate(path)
+    del cert["command"]
+    cert["digest"] = certificate_digest(cert)
+    save_certificate(path, cert)
+    with pytest.raises(InvalidInput, match="command must be a list of strings"):
+        load_certificate(path)
 
 
 def _grid_coords(e, g):
