@@ -552,6 +552,59 @@ def search_counterexample(num_keys: int, structures: Sequence[tuple[int, ...]], 
     return next(_Engine(num_keys, structures, r, symmetry).walk(node_guard))[2]
 
 
+def _structure_index(num_keys: int, structures) -> tuple[list, list, list, list, list]:
+    """The engine's tables over keys 0..num_keys-1, built in one pass over the
+    structures: (touching, pairs, nbr, always, limit).
+
+    touching[k] holds the masks of the structures holding k, in structure
+    order. pairs[k][j] is pairs[j][k]: the masks of the 3- and 4-key
+    structures holding k and j. nbr[k] holds the keys other than k that share
+    such a structure with k. always[k] holds the masks of touching[k] that the
+    pair walk skips, and is touching[k] itself while k is in no 3- or 4-key
+    structure. Walking one partner costs about its share of k's pair entries
+    plus a fixed step; past limit[k] partners the full scan of touching[k] is
+    cheaper. A structure may repeat keys; a key outside 0..num_keys-1 raises.
+    """
+    touching = [[] for _ in range(num_keys)]
+    always = touching[:]
+    pairs = [{} for _ in range(num_keys)]
+    nbr = [0] * num_keys
+    for keys in structures:
+        mask = 0
+        for k in keys:
+            mask |= 1 << k
+        size = mask.bit_count()
+        if size != len(keys):
+            keys = {*keys}
+        if 3 <= size <= 4:
+            for k in keys:
+                masks = touching[k]
+                if always[k] is masks:
+                    always[k] = masks[:]
+                masks.append(mask)
+                nbr[k] |= mask
+            for k, j in combinations(keys, 2):
+                pk = pairs[k]
+                if j in pk:
+                    pk[j].append(mask)
+                else:
+                    pk[j] = pairs[j][k] = [mask]
+        else:
+            for k in keys:
+                masks = touching[k]
+                masks.append(mask)
+                if always[k] is not masks:
+                    always[k].append(mask)
+    limit = [0] * num_keys
+    for k, partners in enumerate(nbr):
+        if partners:
+            partners ^= 1 << k
+            nbr[k] = partners
+            per_partner = sum(map(len, pairs[k].values())) / partners.bit_count()
+            limit[k] = (len(touching[k]) - len(always[k])) / (per_partner + 1.5)
+    return touching, pairs, nbr, always, limit
+
+
 class _NodeGuard(GuardExceeded):
     """The search ran past its node guard."""
 
@@ -586,41 +639,7 @@ class _Engine:
                     raise ContractViolation(f"the structures over {num_keys} keys are not "
                                             f"invariant under {symmetry.name}")
         empty = not all(structures)  # an empty structure is monochromatic under every coloring
-        touching = [[] for _ in range(num_keys)]  # touching[k]: masks of structures holding k
-        # pairs[k][j] is pairs[j][k]: the masks of the 3- and 4-key structures holding k and j.
-        pairs = [{} for _ in range(num_keys)]
-        nbr = [0] * num_keys  # nbr[k]: the keys sharing a 3- or 4-key structure with k
-        for keys in structures:
-            mask = 0
-            for k in keys:
-                mask |= 1 << k
-            keys = {*keys}
-            indexed = 3 <= len(keys) <= 4
-            for k in keys:
-                touching[k].append(mask)
-                if indexed:
-                    nbr[k] |= mask
-                    pk = pairs[k]
-                    for j in keys:
-                        if j > k:
-                            if j in pk:
-                                pk[j].append(mask)
-                            else:
-                                pk[j] = pairs[j][k] = [mask]
-        # always[k]: the masks the pair walk skips. Walking one partner costs
-        # about its share of k's pair entries plus a fixed step; past limit[k]
-        # partners the full scan of touching[k] is cheaper.
-        always = []
-        limit = []
-        for k, masks in enumerate(touching):
-            if not nbr[k]:
-                always.append(masks)
-                limit.append(0)
-                continue
-            nbr[k] ^= 1 << k
-            always.append([mask for mask in masks if not 3 <= mask.bit_count() <= 4])
-            per_partner = sum(map(len, pairs[k].values())) / nbr[k].bit_count()
-            limit.append((len(masks) - len(always[k])) / (per_partner + 1.5))
+        touching, pairs, nbr, always, limit = _structure_index(num_keys, structures)
         colors = range(1, r + 1)
         others = [()] + [tuple(cc for cc in colors if cc != c) for c in colors]
 
@@ -909,14 +928,14 @@ def verify_grid_ramsey(kind: str, t: int, r: int, m: int, l: int, n: int, *,
     if kind in (KIND_SUBPOSET, "subposet"):
         # A set induces m^t in n^t exactly when it does so in any hull holding
         # it, so a hull's keys are the m^t copies inside l^t mapped through the
-        # hull's embedding, and each is found by its element set.
+        # hull's embedding, and each is found by its element set. At m = 1 key
+        # i is element i, so a hull's keys are its elements.
         ambient, small, large = grid(n, t), grid(m, t), grid(l, t)
         try:
             keys = enumerate_induced_copy_sets(ambient, small)
-            where = {frozenset(key): i for i, key in enumerate(keys)}
-            # Repeating a copy's first element keeps a one-element pick a tuple.
-            picks = [itemgetter(*copy, copy[0]) for copy in
-                     enumerate_induced_copy_sets(large, small)]
+            if m > 1:
+                where = {frozenset(key): i for i, key in enumerate(keys)}
+                picks = [itemgetter(*copy) for copy in enumerate_induced_copy_sets(large, small)]
 
             def hulls():
                 embeddings = _copy_search(ambient, large, None, None, NODE_GUARD,
@@ -925,7 +944,9 @@ def verify_grid_ramsey(kind: str, t: int, r: int, m: int, l: int, n: int, *,
                     if count > COPY_GUARD:
                         raise GuardExceeded("induced-copy enumeration exceeded its guard")
                     _check_deadline()
-                    yield tuple(sorted([where[frozenset(pick(image))] for pick in picks]))
+                    if m > 1:
+                        image = [where[frozenset(pick(image))] for pick in picks]
+                    yield tuple(sorted(image))
 
             structures = list(dict.fromkeys(hulls()))  # as index_structures gives them
         except GuardExceeded as exc:

@@ -1,6 +1,7 @@
-"""The counterexample engine: brute-force differential, pinned node counts,
-pinned certificates, serial/parallel agreement, guard reasons, deep
-instances and lex-leader symmetry breaking on chain hosts and cell boxes."""
+"""The counterexample engine: brute-force differential, its structure index
+against a two-pass build, pinned node counts, pinned certificates,
+serial/parallel agreement, guard reasons, deep instances and lex-leader
+symmetry breaking on chain hosts and cell boxes."""
 
 import os
 import pickle
@@ -112,6 +113,7 @@ def _plain_cells(n, r, guard=10 ** 6, workers=1):
     (lambda g: verify_grid_ramsey(KIND_SUBPOSET, 2, 2, 1, 2, 6, node_guard=g), 391, "true"),
     (lambda g: verify_grid_ramsey(KIND_SUBGRID, 2, 2, 1, 2, 5, node_guard=g), 130, "true"),
     (lambda g: _plain_cells(5, 2, g), 2699, "true"),
+    (lambda g: verify_grid_ramsey(KIND_SUBPOSET, 2, 2, 2, 3, 5, node_guard=g), 1064, "false"),
 ])
 def test_node_counts_are_pinned(verify, nodes, status):
     assert verify(nodes).status == status
@@ -144,6 +146,8 @@ _PINNED = [
     (["ramsey", "verify", "--kind", "comparability", "--t", "1", "--r", "3",
       "--p-chain", "3", "--n", "16", "--guard", "100000"], "eecea0843e13fab9", None),
     (_grid_argv("verify", "subposet", 2, "--n", 6), "8585d56b655ce01c", "5b594815f9e36d22"),
+    (["ramsey", "verify", "--kind", "subposet", "--t", "2", "--r", "2", "--m", "2", "--l", "3",
+      "--n", "5"], "15c1499479093c16", None),
 ]
 
 
@@ -644,3 +648,90 @@ def test_subposet_hull_lookup_keeps_the_time_limit(monkeypatch):
     with ramsey.time_limit(0):
         verdict = verify_grid_ramsey(KIND_SUBPOSET, 2, 2, 1, 2, 4)
     assert (verdict.status, verdict.reason) == ("inconclusive", "time limit exceeded")
+
+
+def _reference_index(num_keys, structures):
+    """The engine's tables as two passes build them: each structure's keys as
+    a set, then always and limit from a bit count of each mask in touching."""
+    touching = [[] for _ in range(num_keys)]
+    pairs = [{} for _ in range(num_keys)]
+    nbr = [0] * num_keys
+    for keys in structures:
+        mask = 0
+        for k in keys:
+            mask |= 1 << k
+        keys = {*keys}
+        indexed = 3 <= len(keys) <= 4
+        for k in keys:
+            touching[k].append(mask)
+            if indexed:
+                nbr[k] |= mask
+                pk = pairs[k]
+                for j in keys:
+                    if j > k:
+                        if j in pk:
+                            pk[j].append(mask)
+                        else:
+                            pk[j] = pairs[j][k] = [mask]
+    always = []
+    limit = []
+    for k, masks in enumerate(touching):
+        if not nbr[k]:
+            always.append(masks)
+            limit.append(0)
+            continue
+        nbr[k] ^= 1 << k
+        always.append([mask for mask in masks if not 3 <= mask.bit_count() <= 4])
+        per_partner = sum(map(len, pairs[k].values())) / nbr[k].bit_count()
+        limit.append((len(masks) - len(always[k])) / (per_partner + 1.5))
+    return touching, pairs, nbr, always, limit
+
+
+def _assert_index_matches_the_reference(num_keys, structures):
+    got = ramsey._structure_index(num_keys, structures)
+    want = _reference_index(num_keys, structures)
+    assert got == want
+    # pairs[k][j] is pairs[j][k], and always[k] shares touching[k] where the
+    # reference shares it.
+    touching, pairs, _, always, _ = got
+    assert all(pk[j] is pairs[j][k] for k, pk in enumerate(pairs) for j in pk)
+    assert [a is t for a, t in zip(always, touching)] == \
+        [a is t for a, t in zip(want[3], want[0])]
+
+
+@st.composite
+def _unsorted_structures(draw):
+    num_keys = draw(st.integers(0, 10))
+    if not num_keys:
+        return 0, draw(st.lists(st.just(()), max_size=3))
+    key = st.integers(0, num_keys - 1)
+    return num_keys, draw(st.lists(st.lists(key, max_size=6).map(tuple), max_size=15))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_unsorted_structures())
+def test_the_one_pass_index_matches_the_two_pass_build(instance):
+    _assert_index_matches_the_reference(*instance)
+
+
+@pytest.mark.parametrize("verify", [
+    lambda: verify_grid_ramsey(KIND_SUBPOSET, 2, 2, 1, 2, 6),
+    lambda: verify_grid_ramsey(KIND_SUBPOSET, 2, 2, 2, 3, 5),
+    lambda: _chain(16),
+], ids=["subposet-hulls-6x6", "subposet-m2-hulls-5x5", "triangles-K16"])
+def test_the_one_pass_index_matches_on_verify_inputs(monkeypatch, verify):
+    keys, structures, _, _ = _engine_inputs(monkeypatch, verify)
+    _assert_index_matches_the_reference(len(keys), structures)
+
+
+@pytest.mark.parametrize("structure", [(-1,), (0, -1, 2), (0, 1, 2, -3), (0, 1, 2, -3, 4),
+                                       (5,), (0, 1, 5), (0, 2, 3, 5), (5, 0, 1, 2, 3)])
+def test_the_index_refuses_keys_out_of_range(structure):
+    # A negative shift raises ValueError and a key past the tables IndexError;
+    # a table of key bits read at a negative key would wrap instead.
+    error = ValueError if min(structure) < 0 else IndexError
+    with pytest.raises(error):
+        _reference_index(5, [(0, 1, 2), structure])
+    with pytest.raises(error):
+        ramsey._structure_index(5, [(0, 1, 2), structure])
+
