@@ -64,11 +64,11 @@ from .ramsey import (
     ThresholdResult,
     Verdict,
     boolean_lattice_embed,
+    box_symmetry,
     comparability_keys,
     enumerate_induced_copy_sets,
     find_monochromatic_copy,
     find_monochromatic_subgrid,
-    grid_symmetry,
     hash_coloring,
     index_structures,
     min_ramsey_n,
@@ -83,7 +83,6 @@ from .ramsey import (
     verify_bootstrap_chain,
     verify_comparability_ramsey,
     verify_grid_ramsey,
-    verify_ramsey_witness,
     vertex_symmetry,
 )
 from .booldim import (

@@ -204,18 +204,19 @@ def _build_parser() -> _Parser:
 
 
 def _strip_out(argv: Sequence[str]) -> list[str]:
+    """argv without ``--out PATH`` or ``--out=PATH``, also as any prefix of
+    ``--out`` that argparse takes for it: no certificate records where it is
+    written, so no digest depends on it and no re-run writes."""
     out = []
     skip = False
     for token in argv:
+        name = token.partition("=")[0]
         if skip:
             skip = False
-            continue
-        if token == "--out":
-            skip = True
-            continue
-        if token.startswith("--out="):
-            continue
-        out.append(token)
+        elif len(name) > 2 and "--out".startswith(name):
+            skip = name == token
+        else:
+            out.append(token)
     return out
 
 
@@ -325,7 +326,7 @@ def _cmd_ramsey(args, argv) -> RunResult:
         colors = sorted(set(reduced.assignment.values()))
         text = (f"reduced {len(reduced.assignment)} subgrid keys, "
                 f"colors used: {colors}")
-        cert = _certificate(_strip_out(argv),
+        cert = _certificate(argv,
                             {"from": args.source, "n": args.n, "t": args.t,
                              "m": args.m, "r": r, "seed": args.seed},
                             "reduced", _coloring_witness(reduced, g))
@@ -349,7 +350,7 @@ def _cmd_ramsey(args, argv) -> RunResult:
         witness = None
         if verdict.counterexample is not None:
             witness = _coloring_witness(verdict.counterexample, grid(args.n, args.t))
-        cert = _certificate(_strip_out(argv), params, verdict.status, witness)
+        cert = _certificate(argv, params, verdict.status, witness)
         lines = [f"verdict: {verdict.status}"]
         if verdict.reason:
             lines.append(f"reason: {verdict.reason}")
@@ -363,7 +364,7 @@ def _cmd_ramsey(args, argv) -> RunResult:
                "statuses": {str(n): v.status for n, v in result.verdicts.items()},
                "counterexamples": {str(n): _coloring_witness(coloring, grid(n, args.t))
                                    for n, coloring in result.counterexamples().items()}}
-    cert = _certificate(_strip_out(argv), params, result.status, witness)
+    cert = _certificate(argv, params, result.status, witness)
     text = (f"minimal n: {result.found}" if result.found is not None
             else f"no n <= {args.n_max} ({result.status})")
     return RunResult(_THRESHOLD_EXIT[result.status], text, cert)
@@ -376,15 +377,12 @@ def _cmd_bdim(args, argv) -> RunResult:
         result = boolean_dim(p, d_max=args.d_max,
                              guard_elements=args.guard_elements)
         if result.dim is None:
-            cert = _certificate(_strip_out(argv),
-                                {"file": "poset", "d_max": args.d_max},
-                                "none", None)
+            cert = _certificate(argv, {"file": "poset", "d_max": args.d_max}, "none", None)
             return RunResult(EX_FALSE,
                              f"no Boolean realizer with d <= {args.d_max}", cert)
         witness = {"orders": [list(o) for o in result.realizer.orders],
                    "accepted": sorted(result.realizer.accepted)}
-        cert = _certificate(_strip_out(argv),
-                            {"file": "poset", "d_max": args.d_max},
+        cert = _certificate(argv, {"file": "poset", "d_max": args.d_max},
                             f"dim={result.dim}", witness)
         lines = [f"boolean dimension: {result.dim}",
                  f"accepted: {sorted(result.realizer.accepted)}"]
@@ -420,9 +418,7 @@ def _cmd_extension(args, argv) -> RunResult:
                                       for parts, color in cex.items())
                        for k, cex in
                        ((k, c.assignment) for k, c in result.counterexamples().items())}}
-        cert = _certificate(_strip_out(argv),
-                            {"s": args.s, "t": args.t, "r": args.r,
-                             "k_max": args.k_max},
+        cert = _certificate(argv, {"s": args.s, "t": args.t, "r": args.r, "k_max": args.k_max},
                             result.status, witness)
         text = (f"minimal k: {result.found}" if result.found is not None
                 else f"no k <= {args.k_max} ({result.status})")
@@ -459,12 +455,12 @@ def _cmd_graph(args, argv) -> RunResult:
               "classes": len(ec.color_set()),
               "pattern_bipartite": pattern_bipartite}
     if found is None:
-        cert = _certificate(_strip_out(argv), params, "no-monochromatic-copy", None)
+        cert = _certificate(argv, params, "no-monochromatic-copy", None)
         return RunResult(EX_TRUE,
                          f"{len(ec.color_set())} bipartite classes; no "
                          f"monochromatic induced copy of the pattern", cert)
     color, image = found
-    cert = _certificate(_strip_out(argv), params, "monochromatic-copy",
+    cert = _certificate(argv, params, "monochromatic-copy",
                         {"class": color, "image": list(image)})
     return RunResult(EX_FALSE,
                      f"monochromatic copy in class {color}: {list(image)}", cert)
@@ -481,7 +477,7 @@ def _cmd_verify(args, argv) -> RunResult:
     command, digest = head or (cert["command"], cert["digest"])
     _refuse_verify(path, command)
     try:
-        rerun = run(command)
+        rerun = run(_strip_out(command))
     except Exception:
         _confirm_digest(path, cert or parse_certificate(path, text))
         raise
@@ -560,7 +556,7 @@ def run(argv: Sequence[str]) -> RunResult:
             "verify": _cmd_verify,
             "acceptance": _cmd_acceptance,
         }[args.group]
-        result = handler(args, list(argv))
+        result = handler(args, _strip_out(argv))
         out_path = getattr(args, "out", None)
         if out_path and result.certificate is not None and not result.out_written:
             from .fileio import save_certificate

@@ -12,9 +12,9 @@ a Ramsey witness means proving no r-coloring leaves every structure
 non-monochromatic; the search backtracks over keys in a fixed deterministic
 order with monochromatic-forcing propagation and first-key color-symmetry
 breaking, and with lex-leader symmetry breaking where the instance declares a
-``Symmetry``: the vertices of K_n on chain hosts, the rows and columns of the
-box for cells and rectangles. Guard exhaustion is a distinct inconclusive
-verdict, never False.
+``Symmetry``: the vertices of K_n where the keys are its edges, and the
+values on each axis of n^t where they are its cells. Guard exhaustion is a
+distinct inconclusive verdict, never False.
 """
 
 from __future__ import annotations
@@ -499,22 +499,24 @@ def vertex_symmetry(n: int) -> Symmetry:
                     (vertex_symmetry, (n,)))
 
 
-def grid_symmetry(a: int, b: int) -> Symmetry:
-    """S_a x S_b on the cells of an a x b box, key i*b + j being cell (i, j).
-    Row lex at (i, j): if rows i-1 and i agree on the columns before j,
-    color(i, j) >= color(i-1, j); column lex: if columns j-1 and j agree on
-    the rows before i, color(i, j) >= color(i, j-1)."""
-    cells = list(iproduct(range(a), range(b)))
+def box_symmetry(sides: Sequence[int]) -> Symmetry:
+    """S_a x S_b x ... on the cells of a box with these sides, keys in
+    row-major order. Slice lex along axis d at cell x with x_d > 0: if slices
+    x_d-1 and x_d agree on the cells before x, color(x) >= color(x - e_d)."""
+    sides = tuple(sides)
+    strides = [math.prod(sides[d + 1:]) for d in range(len(sides))]
+    cells = list(iproduct(*map(range, sides)))
+    seen = [[0] * side for side in sides]  # per axis and value: the keys so far
     lex = []
-    for i, j in cells:
-        k = i * b + j
-        row = ((k - b, ((1 << j) - 1) << (k - j - b), b),) if i else ()
-        column = ((k - 1, sum(1 << (w * b + j - 1) for w in range(i)), 1),) if j else ()
-        lex.append(row + column)
-    generators = [[p[i] * b + j for i, j in cells] for p in _swap_and_cycle(a)] + \
-        [[i * b + p[j] for i, j in cells] for p in _swap_and_cycle(b)]
-    return Symmetry(f"S_{a} x S_{b}", generators,
-                    lambda colors: _lex_leader(lex, colors), (grid_symmetry, (a, b)))
+    for k, x in enumerate(cells):
+        lex.append(tuple((k - s, seen[d][v] >> s, s)
+                         for d, (v, s) in enumerate(zip(x, strides)) if v))
+        for d, v in enumerate(x):
+            seen[d][v] |= 1 << k
+    generators = [[k + (p[x[d]] - x[d]) * strides[d] for k, x in enumerate(cells)]
+                  for d, side in enumerate(sides) for p in _swap_and_cycle(side)]
+    return Symmetry(" x ".join(f"S_{side}" for side in sides), generators,
+                    lambda colors: _lex_leader(lex, colors), (box_symmetry, (sides,)))
 
 
 # -- counterexample-coloring search engine -------------------------------------------
@@ -921,9 +923,11 @@ def verify_grid_ramsey(kind: str, t: int, r: int, m: int, l: int, n: int, *,
         table = _subsets_within(n, l, m)
         structures = index_structures(keys, (iproduct(*[table[axis] for axis in outer])
                                              for outer in iproduct(table, repeat=t)))
-        # Cells and the l x l boxes over them, in row-major order: permuting
-        # the rows or the columns maps those boxes onto themselves.
-        symmetry = grid_symmetry(n, n) if t == 2 and m == 1 else None
+        # At m = 1 the keys are the cells of n^t in row-major order, and
+        # permuting the values on any axis maps the l^t boxes onto themselves;
+        # at t = 1, m = 2 they are K_n's edges and the boxes its l-cliques.
+        symmetry = box_symmetry((n,) * t) if m == 1 else \
+            vertex_symmetry(n) if t == 1 and m == 2 else None
         return run_engine(keys, structures, r, KIND_SUBGRID, node_guard, workers, symmetry)
     if kind in (KIND_SUBPOSET, "subposet"):
         # A set induces m^t in n^t exactly when it does so in any hull holding
@@ -953,16 +957,6 @@ def verify_grid_ramsey(kind: str, t: int, r: int, m: int, l: int, n: int, *,
             return Verdict("inconclusive", reason=str(exc))
         return run_engine(keys, structures, r, KIND_SUBPOSET, node_guard, workers)
     raise ContractViolation(f"unknown kind {kind!r}")
-
-
-def verify_ramsey_witness(p: GridPoset, q: GridPoset, r: int,
-                          kind: str = KIND_COMPARABILITY, *,
-                          m: Optional[int] = None, **guards) -> Verdict:
-    """``verify_at`` for p = l^t in q = n^t; the grid kinds need the side m."""
-    if not (isinstance(p, GridPoset) and isinstance(q, GridPoset) and p.t == q.t) \
-            or m is None and kind != KIND_COMPARABILITY:
-        raise ContractViolation("need grids l^t and n^t, and the side m for grid kinds")
-    return verify_at(kind, q.t, r, m, p.k, q.k, **guards)
 
 
 def verify_at(kind: str, t: int, r: int, m: int, l: int, n: int, **guards) -> Verdict:

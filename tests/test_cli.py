@@ -5,7 +5,8 @@ import json
 import pytest
 
 from gridlab import cli
-from gridlab.fileio import make_certificate, save_certificate, save_graph, save_poset
+from gridlab.fileio import (certificate_digest, make_certificate, save_certificate,
+                            save_graph, save_poset)
 from gridlab.graphs import Graph
 from gridlab.grids import grid
 from gridlab.poset import Poset, make_chain
@@ -204,6 +205,41 @@ def test_ramsey_reduce_writes_coloring(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["coloring_kind"] == "subgrid"
     assert len(payload["assignment"]) == 15876
+
+
+@pytest.mark.parametrize("command", [["grid", "core", "--s", "2"],
+                                     ["grid", "casual", "--s", "2", "--t", "2"],
+                                     ["grid", "unique-realizer", "--s", "2"]],
+                         ids=lambda command: command[1])
+def test_a_grid_certificate_does_not_record_its_out_path(tmp_path, command):
+    certificates = [cli.run(command + out).certificate
+                    for out in ([], ["--out", str(tmp_path / "a.json")],
+                                ["--out", str(tmp_path / "b.json")],
+                                [f"--out={tmp_path / 'c.json'}"],
+                                ["--ou", str(tmp_path / "d.json")])]
+    assert {cert["digest"] for cert in certificates} == {certificates[0]["digest"]}
+    assert certificates[0]["command"] == command
+    assert json.loads((tmp_path / "a.json").read_text()) == certificates[0]
+
+
+# A drifted witness, and commands that record their --out, as grid
+# certificates did before every command was stripped of it.
+@pytest.mark.parametrize("change", ["witness", "--out", "--ou"])
+def test_verify_answers_a_drifted_certificate_without_writing_it(tmp_path, change):
+    path = tmp_path / "a.json"
+    assert cli.run(["grid", "core", "--s", "2", "--out", str(path)]).exit_code == 0
+    cert = json.loads(path.read_text())
+    if change == "witness":
+        cert["witness"] = [[0, 0]]
+    else:
+        cert["command"] = cert["command"] + [change, str(path)]
+    cert["digest"] = certificate_digest(cert)
+    save_certificate(path, cert)
+    before = path.read_bytes()
+    for _ in range(2):
+        result = cli.run(["verify", str(path)])
+        assert (result.exit_code, result.output) == (1, "re-run did not reproduce the certificate")
+        assert path.read_bytes() == before
 
 
 def test_main_prints_and_returns(capsys):

@@ -26,13 +26,13 @@ from gridlab.ramsey import (
     KIND_COMPARABILITY,
     KIND_SUBGRID,
     KIND_SUBPOSET,
+    box_symmetry,
     enumerate_induced_copy_sets,
     find_monochromatic_copy,
     find_monochromatic_subgrid,
     index_structures,
     min_ramsey_n,
     run_engine,
-    grid_symmetry,
     search_counterexample,
     verify_comparability_ramsey,
     verify_grid_ramsey,
@@ -520,9 +520,9 @@ def test_grid_symmetry_matches_brute_force_on_tiny_boxes(a, b, r, shapes):
     groups = [group for pattern in fits for group in sorted(_box_orbit(a, b, pattern))]
     structures = index_structures(keys, groups)
     want = _first_good_coloring(len(keys), structures, r)
-    got = search_counterexample(len(keys), structures, r, symmetry=grid_symmetry(a, b))
+    got = search_counterexample(len(keys), structures, r, symmetry=box_symmetry((a, b)))
     assert got == want
-    verdict = run_engine(keys, structures, r, KIND_SUBGRID, 10 ** 6, 1, grid_symmetry(a, b))
+    verdict = run_engine(keys, structures, r, KIND_SUBGRID, 10 ** 6, 1, box_symmetry((a, b)))
     assert verdict.status == ("true" if want is None else "false")
     assert verdict.reason == f"lex-leader symmetry breaking over S_{a} x S_{b} x S_{r}"
 
@@ -545,13 +545,106 @@ def test_a_grid_symmetry_the_structures_lack_is_refused():
     keys, groups = _box_rectangles(4, 4)
     structures = index_structures(keys, groups)
     assert run_engine(keys, structures, 2, KIND_SUBGRID, 1000, 1,
-                      grid_symmetry(4, 4)).status == "false"
+                      box_symmetry((4, 4))).status == "false"
     for dropped in (0, len(structures) - 1):
         with pytest.raises(ContractViolation, match="not invariant under S_4 x S_4"):
             run_engine(keys, structures[:dropped] + structures[dropped + 1:], 2, KIND_SUBGRID,
-                       1000, 1, grid_symmetry(4, 4))
+                       1000, 1, box_symmetry((4, 4)))
     with pytest.raises(ContractViolation):  # 20 keys declared, 16 given
-        run_engine(keys, structures, 2, KIND_SUBGRID, 1000, 1, grid_symmetry(4, 5))
+        run_engine(keys, structures, 2, KIND_SUBGRID, 1000, 1, box_symmetry((4, 5)))
+
+
+def _grid_symmetry_reference(a, b):
+    """The two-axis declaration as written before ``box_symmetry``: the name,
+    generators and lex table of S_a x S_b on the a x b cells."""
+    def swap_and_cycle(n):
+        return [[1, 0, *range(2, n)], [*range(1, n), 0]] if n > 1 else []
+
+    cells = list(product(range(a), range(b)))
+    lex = []
+    for i, j in cells:
+        k = i * b + j
+        row = ((k - b, ((1 << j) - 1) << (k - j - b), b),) if i else ()
+        column = ((k - 1, sum(1 << (w * b + j - 1) for w in range(i)), 1),) if j else ()
+        lex.append(row + column)
+    generators = [[p[i] * b + j for i, j in cells] for p in swap_and_cycle(a)] + \
+        [[i * b + p[j] for i, j in cells] for p in swap_and_cycle(b)]
+    return f"S_{a} x S_{b}", generators, lex
+
+
+def test_box_symmetry_on_two_axes_is_the_grid_declaration(monkeypatch):
+    monkeypatch.setattr(ramsey, "_lex_leader", lambda lex, colors, counted=None: lex)
+    for a, b in product(range(1, 8), repeat=2):
+        symmetry = box_symmetry((a, b))
+        got = symmetry.name, symmetry.generators, symmetry.constraints(range(1, 3))
+        assert got == _grid_symmetry_reference(a, b), (a, b)
+
+
+def _cells(sides):
+    """The cells of a box keyed as the subgrid kind keys them at m = 1, row major."""
+    return [tuple((v,) for v in cell) for cell in product(*map(range, sides))]
+
+
+def _axis_orbit(sides, pattern):
+    """The images of the cell set ``pattern`` under every permutation of the
+    values on each axis of the box with these sides, as key groups."""
+    return {tuple(sorted(tuple((perm[v],) for perm, v in zip(perms, cell)) for cell in pattern))
+            for perms in product(*(list(permutations(range(side))) for side in sides))}
+
+
+_SOLIDS = {
+    "box": list(product((0, 1), repeat=3)),
+    "face": [(0, j, k) for j in (0, 1) for k in (0, 1)],
+    "end-face": [(i, j, 0) for i in (0, 1) for j in (0, 1)],
+}
+
+
+# Every coloring of 2x2x2 and 2x2x3 under 2 colors and of 2x2x2 under 3, as
+# for the two-axis boxes above.
+@pytest.mark.parametrize("sides, r", [((2, 2, 2), 2), ((2, 2, 3), 2), ((2, 2, 2), 3)])
+@pytest.mark.parametrize("shapes", [["box"], ["face"], ["box", "face"], ["face", "end-face"]])
+def test_box_symmetry_matches_brute_force_on_tiny_3_axis_boxes(sides, r, shapes):
+    keys = _cells(sides)
+    groups = [group for shape in shapes for group in sorted(_axis_orbit(sides, _SOLIDS[shape]))]
+    structures = index_structures(keys, groups)
+    want = _first_good_coloring(len(keys), structures, r)
+    assert search_counterexample(len(keys), structures, r, symmetry=box_symmetry(sides)) == want
+    verdict = run_engine(keys, structures, r, KIND_SUBGRID, 10 ** 6, 1, box_symmetry(sides))
+    assert verdict.status == ("true" if want is None else "false")
+    names = " x ".join(f"S_{side}" for side in (*sides, r))
+    assert verdict.reason == f"lex-leader symmetry breaking over {names}"
+
+
+# The subgrid kind breaks the values on each axis at m = 1 and the vertices of
+# K_n at t = 1, m = 2. The plain walk over 2x2x2 boxes in n^3 takes 64, 1,379
+# and 733,972 nodes at n = 4, 5 and 6; the triangles of K_n take the chain
+# kind's counts.
+@pytest.mark.parametrize("t, r, m, l, n, nodes, status", [
+    (3, 2, 1, 2, 4, 55, "false"),
+    (3, 2, 1, 2, 5, 162, "false"),
+    (3, 2, 1, 2, 6, 4858, "false"),
+    (1, 3, 2, 3, 11, 203, "false"),
+    (1, 3, 2, 3, 16, 3761, "false"),
+    (1, 3, 2, 3, 17, 962, "true"),
+])
+def test_declared_subgrid_node_counts_are_pinned(t, r, m, l, n, nodes, status):
+    verdict = verify_grid_ramsey(KIND_SUBGRID, t, r, m, l, n, node_guard=nodes)
+    assert verdict.status == status
+    assert verify_grid_ramsey(KIND_SUBGRID, t, r, m, l, n,
+                              node_guard=nodes - 1).status == "inconclusive"
+    if status == "false":
+        assert find_monochromatic_subgrid(n, t, m, l, verdict.counterexample) is None
+
+
+@pytest.mark.parametrize("t, r, m, l, n", [
+    (3, 2, 1, 2, 3), (3, 2, 1, 2, 4), (3, 2, 1, 2, 5), (3, 3, 1, 2, 3), (1, 2, 1, 3, 5),
+    (1, 2, 2, 3, 5), (1, 3, 2, 3, 11), (1, 2, 2, 4, 8)])
+def test_box_and_edge_declarations_keep_the_plain_walk_witness(monkeypatch, t, r, m, l, n):
+    keys, structures, _, symmetry = _engine_inputs(
+        monkeypatch, lambda: verify_grid_ramsey(KIND_SUBGRID, t, r, m, l, n))
+    assert symmetry.name == " x ".join([f"S_{n}"] * t)
+    plain = search_counterexample(len(keys), structures, r, 20_000)
+    assert search_counterexample(len(keys), structures, r, symmetry=symmetry) == plain
 
 
 def _chain_structures(n):
@@ -563,7 +656,9 @@ def _chain_structures(n):
 def test_symmetry_declarations_pickle_by_their_parameters():
     keys, groups = _box_rectangles(3, 5)
     structures = index_structures(keys, groups)
-    for symmetry, num_keys, structs in ((grid_symmetry(3, 5), 15, structures),
+    cubes = index_structures(_cells((2, 3, 2)), _axis_orbit((2, 3, 2), _SOLIDS["box"]))
+    for symmetry, num_keys, structs in ((box_symmetry((3, 5)), 15, structures),
+                                        (box_symmetry((2, 3, 2)), 12, cubes),
                                         (vertex_symmetry(6), 15, _chain_structures(6))):
         data = pickle.dumps(symmetry)
         assert len(data) < 200  # the call that built it, not its tables

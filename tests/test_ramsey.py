@@ -37,10 +37,10 @@ from gridlab.ramsey import (
     reduce_comparability_to_subgrid,
     reduce_subposet_to_subgrid,
     subposet_copy_key,
+    verify_at,
     verify_bootstrap_chain,
     verify_comparability_ramsey,
     verify_grid_ramsey,
-    verify_ramsey_witness,
 )
 
 # Engine-found 2-coloring of the 4x4 cells with no monochromatic rectangle,
@@ -258,15 +258,8 @@ def test_verify_examples():
 
 
 def test_verify_wrapper_kinds():
-    assert verify_ramsey_witness(grid(3, 1), grid(6, 1), 2).is_true()
-    v = verify_ramsey_witness(grid(2, 1), grid(3, 1), 2, KIND_SUBGRID, m=1)
-    assert v.is_true()
-    with pytest.raises(ContractViolation):
-        verify_ramsey_witness(grid(2, 1), grid(3, 1), 2, KIND_SUBGRID)
-    with pytest.raises(ContractViolation):  # verify_at takes grids, not other posets
-        verify_ramsey_witness(make_chain(3), make_chain(6), 2)
-    with pytest.raises(ContractViolation):
-        verify_ramsey_witness(grid(2, 1), grid(3, 2), 2)
+    assert verify_at(KIND_COMPARABILITY, 1, 2, None, 3, 6).is_true()
+    assert verify_at(KIND_SUBGRID, 1, 2, 1, 2, 3).is_true()
 
 
 def test_verify_inconclusive_on_tiny_guard():
