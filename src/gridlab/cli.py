@@ -235,11 +235,6 @@ def _parse_parts(text: str) -> Partition:
         raise InvalidInput(f"bad partition {text!r}: {exc}") from exc
 
 
-def _coloring_witness(coloring, g) -> list:
-    from .fileio import coloring_payload
-    return coloring_payload(coloring, g)["assignment"]
-
-
 def _format_points(points) -> str:
     return "{" + ",".join("(" + ",".join(str(c) for c in pt) + ")"
                           for pt in sorted(points)) + "}"
@@ -300,7 +295,7 @@ def _cmd_grid(args, argv) -> RunResult:
 
 
 def _cmd_ramsey(args, argv) -> RunResult:
-    from .fileio import load_coloring
+    from .fileio import coloring_assignment, coloring_payload, load_coloring
     if args.command == "reduce":
         g = grid(args.n, args.t)
         r = 2 if args.r is None else args.r
@@ -329,7 +324,7 @@ def _cmd_ramsey(args, argv) -> RunResult:
         cert = _certificate(argv,
                             {"from": args.source, "n": args.n, "t": args.t,
                              "m": args.m, "r": r, "seed": args.seed},
-                            "reduced", _coloring_witness(reduced, g))
+                            "reduced", *coloring_assignment(reduced, g))
         return RunResult(EX_TRUE, text, cert, out_written=bool(args.out))
 
     # verify and search: the kind's pattern sizes (m, l)
@@ -347,10 +342,11 @@ def _cmd_ramsey(args, argv) -> RunResult:
     if args.command == "verify":
         with time_limit(args.time_limit):
             verdict = verify_at(args.kind, args.t, args.r, m, l, args.n, **guards)
-        witness = None
+        witness, witness_text = None, None
         if verdict.counterexample is not None:
-            witness = _coloring_witness(verdict.counterexample, grid(args.n, args.t))
-        cert = _certificate(argv, params, verdict.status, witness)
+            witness, witness_text = coloring_assignment(verdict.counterexample,
+                                                        grid(args.n, args.t))
+        cert = _certificate(argv, params, verdict.status, witness, witness_text)
         lines = [f"verdict: {verdict.status}"]
         if verdict.reason:
             lines.append(f"reason: {verdict.reason}")
@@ -360,10 +356,11 @@ def _cmd_ramsey(args, argv) -> RunResult:
 
     with time_limit(args.time_limit):
         result = min_ramsey_n(args.t, args.r, m, l, args.kind, args.n_max, **guards)
+    counterexamples = {str(n): coloring_payload(coloring, grid(n, args.t))["assignment"]
+                       for n, coloring in result.counterexamples().items()}
     witness = {"n_found": result.found,
                "statuses": {str(n): v.status for n, v in result.verdicts.items()},
-               "counterexamples": {str(n): _coloring_witness(coloring, grid(n, args.t))
-                                   for n, coloring in result.counterexamples().items()}}
+               "counterexamples": counterexamples}
     cert = _certificate(argv, params, result.status, witness)
     text = (f"minimal n: {result.found}" if result.found is not None
             else f"no n <= {args.n_max} ({result.status})")
@@ -526,9 +523,9 @@ def _cmd_acceptance(args, argv) -> RunResult:
     return RunResult(EX_TRUE if ok else EX_FALSE, "\n".join(lines))
 
 
-def _certificate(command, parameters, verdict, witness) -> dict:
+def _certificate(command, parameters, verdict, witness, witness_text=None) -> dict:
     from .fileio import make_certificate
-    return make_certificate(command, parameters, verdict, witness)
+    return make_certificate(command, parameters, verdict, witness, witness_text)
 
 
 _PARSER: Optional[_Parser] = None

@@ -32,9 +32,13 @@ FORMAT_VERSION = 1
 PathLike = Union[str, Path]
 
 
+# Payloads are trees of fresh lists and dicts, so the cycle check is waste.
+# One encoder serves every call: json.dumps would build one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def canonical_json(obj) -> str:
-    # Payloads are trees of fresh lists and dicts, so the cycle check is waste.
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
+    return _ENCODER.encode(obj)
 
 
 def read_text(path: PathLike) -> str:
@@ -157,19 +161,48 @@ def _key_from_json(kind: str, raw, g: GridPoset):
     return tuple(sorted(g.index(tuple(c)) for c in raw))
 
 
-def coloring_payload(coloring: MapColoring, g: GridPoset) -> dict:
-    # A key is a tuple of axes or of grid elements. Each distinct one becomes
-    # one JSON list, shared by every key that holds it: there are far fewer of
-    # them than keys.
+def _assignment(coloring: MapColoring, g: GridPoset) -> tuple[list, dict, list]:
+    """A coloring's (key, color) pairs sorted by key, the JSON list of each
+    part of a key, and the assignment list in key order.
+
+    A key is a tuple of axes or of grid elements. Each distinct one becomes
+    one JSON list, shared by every key that holds it: there are far fewer of
+    them than keys.
+    """
     parts = set(chain.from_iterable(coloring.assignment))
     if coloring.kind == KIND_SUBGRID:
         part = {axis: list(axis) for axis in parts}
     else:
         part = {e: list(g.coords(e)) for e in parts}
-    items = [[[part[x] for x in key], color] for key, color in coloring.items()]
+    ordered = coloring.items()
+    return ordered, part, [[[part[x] for x in key], color] for key, color in ordered]
+
+
+def coloring_assignment(coloring: MapColoring, g: GridPoset) -> tuple[list, str]:
+    """A coloring's assignment list and its text, ``canonical_json(items)``.
+
+    Each part of a key is encoded once, and the text of each key's parts
+    but the last (``[[A,``) once per distinct prefix, not once per key.
+    Every key has at least one part.
+    """
+    ordered, part, items = _assignment(coloring, g)
+    if not set(map(type, coloring.assignment.values())) <= {int}:
+        return items, canonical_json(items)  # f"{True}" is not JSON's true
+    text = {x: canonical_json(value) for x, value in part.items()}
+    heads: dict = {}
+    fragments = []
+    for key, color in ordered:
+        head = heads.get(key[:-1])
+        if head is None:
+            head = heads[key[:-1]] = "[[" + "".join([text[x] + "," for x in key[:-1]])
+        fragments.append(f"{head}{text[key[-1]]}],{color}]")
+    return items, "[" + ",".join(fragments) + "]"
+
+
+def coloring_payload(coloring: MapColoring, g: GridPoset) -> dict:
     return {"format_version": FORMAT_VERSION, "kind": "coloring",
             "coloring_kind": coloring.kind, "r": coloring.r,
-            "n": g.k, "t": g.t, "assignment": items}
+            "n": g.k, "t": g.t, "assignment": _assignment(coloring, g)[2]}
 
 
 def save_coloring(path: PathLike, coloring: MapColoring, g: GridPoset) -> None:
@@ -238,11 +271,19 @@ def certificate_digest(payload: Mapping) -> str:
 
 
 def make_certificate(command: Sequence[str], parameters: Mapping,
-                     verdict: str, witness) -> dict:
+                     verdict: str, witness, witness_text: Optional[str] = None) -> dict:
+    """A certificate and its digest. ``witness_text``, when given, must be
+    ``canonical_json(witness)``; the digest then hashes it as it stands."""
     cert = {"format_version": FORMAT_VERSION, "kind": "certificate",
             "command": list(command), "parameters": dict(parameters),
             "verdict": verdict, "witness": witness}
-    cert["digest"] = certificate_digest(cert)
+    if witness_text is None:
+        cert["digest"] = certificate_digest(cert)
+    else:
+        # "witness" sorts after every other key, so it closes the body.
+        head = canonical_json({k: v for k, v in cert.items() if k != "witness"})
+        body = f'{head[:-1]},"witness":{witness_text}}}'
+        cert["digest"] = hashlib.sha256(body.encode()).hexdigest()
     return cert
 
 

@@ -107,6 +107,11 @@ class Coloring:
     def color_of(self, key) -> int:
         raise NotImplementedError
 
+    def colors(self, keys: Iterable) -> Iterable[int]:
+        """The colors of ``keys`` in order: one ``color_of`` call per key, made
+        as the result is consumed, so a missing key raises where it stands."""
+        return map(self.color_of, keys)
+
 
 class MapColoring(Coloring):
     """Dict-backed coloring; keys must already be canonical."""
@@ -156,27 +161,58 @@ def _stable_hash(prefix, key) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
+def _key_format(length: int) -> str:
+    """``fmt % key == repr(key) + ")"`` for a plain tuple of this length."""
+    return "(%r,))" if length == 1 else "(" + ", ".join(["%r"] * length) + "))"
+
+
 def hash_coloring(kind: str, r: int, seed: int, *,
                   bias_color: Optional[int] = None, bias: float = 0.0) -> FunctionColoring:
     """Seeded, run-stable pseudo-random coloring (blake2, not built-in hash).
 
     With ``bias`` > 0, each key takes ``bias_color`` with that probability,
-    which keeps monochromatic events reachable in soundness sweeps.
+    which keeps monochromatic events reachable in soundness sweeps. A bias
+    lies in [0, 1], and a positive one needs a ``bias_color`` in 1..r.
     """
-    if bias > 0.0 and bias_color is not None and not 1 <= bias_color <= r:
+    if not 0.0 <= bias <= 1.0:  # NaN fails too
+        raise ContractViolation(f"bias {bias!r} outside [0, 1]")
+    if bias > 0.0 and bias_color is None:
+        raise ContractViolation("a positive bias needs a bias color")
+    if bias > 0.0 and not 1 <= bias_color <= r:
         raise ContractViolation(f"bias color {bias_color} outside 1..{r}")
     bias_prefix = _hash_prefix(seed, "bias")
     color_prefix = _hash_prefix(seed, "color")
 
     def fn(key):
-        if bias_color is not None and bias > 0.0:
+        if bias > 0.0:
             u = _stable_hash(bias_prefix, key) / 2.0 ** 64
             if u < bias:
                 return bias_color
         return 1 + _stable_hash(color_prefix, key) % r
 
+    def colors(keys):
+        # _stable_hash in one loop, not lazy: no key is ever missing. A plain
+        # tuple key is written by a %r template, the same text as its repr
+        # and quicker to make (see _key_format).
+        copy, from_bytes = color_prefix.copy, int.from_bytes
+        formats = {}
+        out = []
+        for key in keys:
+            h = copy()
+            if type(key) is tuple:
+                fmt = formats.get(len(key))
+                if fmt is None:
+                    fmt = formats[len(key)] = _key_format(len(key))
+                h.update((fmt % key).encode())
+            else:
+                h.update(f"{key!r})".encode())
+            out.append(1 + from_bytes(h.digest(), "big") % r)
+        return out
+
     coloring = FunctionColoring(kind, r, fn)
     coloring.color_of = fn  # fn cannot leave 1..r, so it needs no range check
+    if bias == 0.0:
+        coloring.colors = colors
     return coloring
 
 
@@ -223,8 +259,8 @@ def reduce_comparability_to_subgrid(coloring: Coloring, g: GridPoset) -> MapColo
     for _ in range(g.t):
         cells = [(axes + (pair,), lo * n + pair[0], hi * n + pair[1])
                  for axes, lo, hi in cells for pair in pairs]
-    color_of = coloring.color_of
-    assignment = {axes: color_of((lo, hi)) for axes, lo, hi in cells}
+    assignment = dict(zip([axes for axes, _, _ in cells],
+                          coloring.colors([(lo, hi) for _, lo, hi in cells])))
     return MapColoring(KIND_SUBGRID, coloring.r, assignment)
 
 
@@ -249,12 +285,9 @@ def reduce_subposet_to_subgrid(c1: Coloring, g: GridPoset, m: int) -> MapColorin
     places = [(i, j) for i in range(m) for j in range(m)]
     rows = [[a[m * i + j] * n for i, j in places] for a in axes]
     cols = [[b[m * j + i] for i, j in places] for b in axes]
-    color_of = c1.color_of
-    assignment = {}
-    for a, row in zip(axes, rows):
-        for b, col in zip(axes, cols):
-            assignment[a, b] = color_of(tuple(map(add, row, col)))
-    return MapColoring(KIND_SUBGRID, c1.r, assignment)
+    keys = [(a, b) for a in axes for b in axes]
+    cores = (tuple(map(add, row, col)) for row in rows for col in cols)
+    return MapColoring(KIND_SUBGRID, c1.r, dict(zip(keys, c1.colors(cores))))
 
 
 # -- monochromatic-substructure search ---------------------------------------------

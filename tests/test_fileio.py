@@ -13,6 +13,7 @@ from gridlab.fileio import (
     canonical_json,
     certificate_digest,
     certificate_head,
+    coloring_assignment,
     coloring_payload,
     load_boolean_realizer,
     load_certificate,
@@ -27,10 +28,10 @@ from gridlab.fileio import (
     save_poset,
 )
 from gridlab.graphs import Graph
-from gridlab.grids import grid
+from gridlab.grids import enumerate_subgrids, grid
 from gridlab.poset import Poset, is_isomorphic, make_chain
 from gridlab.ramsey import KIND_COMPARABILITY, KIND_SUBGRID, KIND_SUBPOSET, MapColoring, \
-    comparability_keys, hash_coloring, reduce_subposet_to_subgrid
+    comparability_keys, hash_coloring, reduce_subposet_to_subgrid, verify_at
 
 
 def test_poset_round_trip(tmp_path):
@@ -250,3 +251,46 @@ def test_save_poset_emits_cover_relation(tmp_path):
     payload = json.loads(path.read_text())
     assert len(payload["covers"]) == 3  # transitive pairs are not stored
     assert is_isomorphic(load_poset(path), p) is not None
+
+
+def _random_coloring(kind, keys, r, seed):
+    rng = random.Random(seed)
+    return MapColoring(kind, r, {key: rng.randint(1, r) for key in keys})
+
+
+def _engine_counterexample(kind, t, r, m, l, n):
+    verdict = verify_at(kind, t, r, m, l, n)
+    assert verdict.status == "false"
+    return verdict.counterexample, grid(n, t)
+
+
+_WITNESSES = {
+    "subgrid-t1": lambda: (_random_coloring(
+        KIND_SUBGRID, [s.axes for s in enumerate_subgrids(7, 1, 3)], 2, 1), grid(7, 1)),
+    "subgrid-t2": lambda: (_random_coloring(
+        KIND_SUBGRID, [s.axes for s in enumerate_subgrids(6, 2, 2)], 3, 2), grid(6, 2)),
+    "subgrid-t3": lambda: (_random_coloring(
+        KIND_SUBGRID, [s.axes for s in enumerate_subgrids(4, 3, 2)], 2, 3), grid(4, 3)),
+    "subgrid-r12": lambda: (_random_coloring(
+        KIND_SUBGRID, [s.axes for s in enumerate_subgrids(6, 2, 2)], 12, 4), grid(6, 2)),
+    "comparability-r12": lambda: (_random_coloring(
+        KIND_COMPARABILITY, comparability_keys(grid(3, 3)), 12, 5), grid(3, 3)),
+    "comparability-engine": lambda: _engine_counterexample(KIND_COMPARABILITY, 2, 2, None, 2, 3),
+    "subposet-engine": lambda: _engine_counterexample(KIND_SUBPOSET, 2, 2, 2, 3, 5),
+    "one-key": lambda: (MapColoring(KIND_SUBGRID, 11, {((0, 2), (1, 3)): 10}), grid(4, 2)),
+    "empty": lambda: (MapColoring(KIND_SUBPOSET, 2, {}), grid(3, 2)),
+    # True == 1 as a dict key, but JSON writes it as true.
+    "bool-colors": lambda: (MapColoring(KIND_SUBGRID, 2, {((0, 1), (0, 1)): True,
+                                                          ((0, 1), (0, 2)): 1}), grid(3, 2)),
+}
+
+
+@pytest.mark.parametrize("name", list(_WITNESSES))
+def test_coloring_assignment_text_is_the_canonical_json_of_its_items(name):
+    coloring, g = _WITNESSES[name]()
+    items, text = coloring_assignment(coloring, g)
+    assert items == coloring_payload(coloring, g)["assignment"]
+    assert text == canonical_json(items)
+    cert = make_certificate(["ramsey", "reduce"], {"n": g.k}, "reduced", items, text)
+    assert cert["digest"] == certificate_digest(cert)
+    assert cert == make_certificate(["ramsey", "reduce"], {"n": g.k}, "reduced", items)

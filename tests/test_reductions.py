@@ -6,6 +6,7 @@ import hashlib
 import json
 import random
 import re
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
@@ -368,3 +369,70 @@ def test_reduce_cli_rejects_coloring_with_subposet(tmp_path):
     result = cli.run(_REDUCE + ["subposet", "--n", "5", "--coloring",
                                 str(tmp_path / "present.json")])
     assert result.exit_code == 64
+
+
+_Point = namedtuple("_Point", "x y")
+_BULK_KEYS = [(), (3,), *(tuple(range(5, 5 + k)) for k in range(2, 10)),
+              (-4, 2 ** 70, -(2 ** 70)), ((0, 1), (2, 3)), ((0, 2, 3, 8), ((1,), (6, 8))),
+              (True, False, 1.5, -0.0, float("inf")), _Point(1, 2), [1, 2], "key"]
+
+
+@pytest.mark.parametrize("kind", [KIND_COMPARABILITY, KIND_SUBGRID, KIND_SUBPOSET,
+                                  ramsey.KIND_PARTITION])
+@pytest.mark.parametrize("seed", [0, 7, -3])
+def test_hash_coloring_colors_keys_in_bulk_as_color_of_does(kind, seed):
+    for r in (2, 3, 5):
+        c = hash_coloring(kind, r, seed)
+        assert "colors" in vars(c)  # the one-loop override, not Coloring.colors
+        want = [1 + _expected_hash(seed, "color", key) % r for key in _BULK_KEYS]
+        assert list(c.colors(_BULK_KEYS)) == want
+        assert list(map(c.color_of, _BULK_KEYS)) == want
+        assert list(c.colors(iter(_BULK_KEYS))) == want
+
+
+def test_a_biased_hash_coloring_colors_keys_one_at_a_time():
+    keys = [key for key in _BULK_KEYS if not isinstance(key, list)]
+    for r in (2, 3):
+        biased = hash_coloring(KIND_SUBGRID, r, 7, bias_color=r, bias=0.5)
+        assert "colors" not in vars(biased)
+        want = [r if _expected_hash(7, "bias", key) / 2.0 ** 64 < 0.5
+                else 1 + _expected_hash(7, "color", key) % r for key in keys]
+        assert list(biased.colors(keys)) == want == list(map(biased.color_of, keys))
+        recorder = _Recorder(biased)
+        assert list(recorder.colors(keys)) == want
+        assert recorder.calls == keys
+
+
+def test_colors_consumes_keys_lazily_and_stops_at_the_missing_one():
+    keys = [(k, k + 1) for k in range(10)]
+    partial = MapColoring(KIND_COMPARABILITY, 2, {key: 1 for key in keys if key != (6, 7)})
+    consumed = []
+
+    def produce():
+        for key in keys:
+            consumed.append(key)
+            yield key
+
+    colors = partial.colors(produce())
+    assert consumed == []
+    assert next(colors) == 1 and consumed == keys[:1]
+    with pytest.raises(ContractViolation, match=re.escape("missing key (6, 7)")):
+        list(colors)
+    assert consumed == keys[:7]
+    with pytest.raises(ContractViolation, match=re.escape("missing key (6, 7)")):
+        [partial.color_of(key) for key in keys]
+
+
+@pytest.mark.parametrize("bias", [float("nan"), -0.1, 1.5, float("inf")])
+def test_hash_coloring_rejects_a_bias_outside_zero_to_one(bias):
+    with pytest.raises(ContractViolation, match="outside \\[0, 1\\]"):
+        hash_coloring(KIND_SUBGRID, 2, 7, bias_color=1, bias=bias)
+
+
+def test_hash_coloring_rejects_a_positive_bias_without_a_bias_color():
+    with pytest.raises(ContractViolation, match="needs a bias color"):
+        hash_coloring(KIND_SUBGRID, 2, 7, bias=0.5)
+    assert hash_coloring(KIND_SUBGRID, 2, 7, bias=0.0).color_of((0,)) == \
+        hash_coloring(KIND_SUBGRID, 2, 7).color_of((0,))
+    always = hash_coloring(KIND_SUBGRID, 3, 7, bias_color=2, bias=1.0)
+    assert {always.color_of((k,)) for k in range(20)} == {2}
