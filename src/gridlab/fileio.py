@@ -71,6 +71,29 @@ def _write_json(path: PathLike, payload: Mapping) -> None:
         fh.write("\n")
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+
+def _labels_and_pairs(path: PathLike, payload: dict, labels_key: str, pairs_key: str,
+                      nonempty: bool = False) -> tuple[list, list]:
+    """A file's distinct str labels, and its label pairs (none when the list
+    is missing) as index pairs."""
+    labels = payload.get(labels_key)
+    if not (_is_str_list(labels) and len(set(labels)) == len(labels)
+            and (labels or not nonempty)):
+        raise InvalidInput(f"{path}: {labels_key!r} must list distinct labels")
+    entries = payload.get(pairs_key, [])
+    if not (isinstance(entries, list) and
+            all(_is_str_list(entry) and len(entry) == 2 for entry in entries)):
+        raise InvalidInput(f"{path}: {pairs_key} must be label pairs")
+    index = {label: i for i, label in enumerate(labels)}
+    try:
+        return labels, [(index[a], index[b]) for a, b in entries]
+    except KeyError as exc:
+        raise InvalidInput(f"{path}: {pairs_key} use unknown label {exc}") from exc
+
+
 # -- posets --------------------------------------------------------------------
 
 
@@ -93,20 +116,7 @@ def load_poset(path: PathLike) -> Poset:
     payload = _read_json(path)
     if payload.get("kind") != "poset":
         raise InvalidInput(f"{path}: not a poset file")
-    elements = payload.get("elements")
-    covers = payload.get("covers")
-    if not isinstance(elements, list) or not elements or \
-            len(set(elements)) != len(elements):
-        raise InvalidInput(f"{path}: 'elements' must list distinct labels")
-    index = {label: i for i, label in enumerate(elements)}
-    pairs = []
-    for entry in covers if isinstance(covers, list) else ():
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise InvalidInput(f"{path}: covers must be label pairs")
-        a, b = entry
-        if a not in index or b not in index:
-            raise InvalidInput(f"{path}: cover ({a}, {b}) uses unknown labels")
-        pairs.append((index[a], index[b]))
+    elements, pairs = _labels_and_pairs(path, payload, "elements", "covers", nonempty=True)
     try:
         return Poset.from_covers(len(elements), pairs, labels=elements)
     except ContractViolation as exc:
@@ -131,18 +141,7 @@ def load_graph(path: PathLike) -> Graph:
     payload = _read_json(path)
     if payload.get("kind") != "graph":
         raise InvalidInput(f"{path}: not a graph file")
-    vertices = payload.get("vertices")
-    if not isinstance(vertices, list) or len(set(vertices)) != len(vertices):
-        raise InvalidInput(f"{path}: 'vertices' must list distinct labels")
-    index = {label: i for i, label in enumerate(vertices)}
-    edges = []
-    for entry in payload.get("edges", ()):
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise InvalidInput(f"{path}: edges must be label pairs")
-        u, v = entry
-        if u not in index or v not in index:
-            raise InvalidInput(f"{path}: edge ({u}, {v}) uses unknown labels")
-        edges.append((index[u], index[v]))
+    vertices, edges = _labels_and_pairs(path, payload, "vertices", "edges")
     try:
         return Graph(len(vertices), edges)
     except ContractViolation as exc:
@@ -254,12 +253,14 @@ def load_boolean_realizer(path: PathLike) -> BooleanRealizer:
     payload = _read_json(path)
     if payload.get("kind") != "boolean-realizer":
         raise InvalidInput(f"{path}: not a boolean-realizer file")
-    try:
-        return BooleanRealizer(
-            tuple(tuple(order) for order in payload["orders"]),
-            frozenset(payload["accepted"]))
-    except (KeyError, TypeError) as exc:
-        raise InvalidInput(f"{path}: {exc}") from exc
+    orders, accepted = payload.get("orders"), payload.get("accepted")
+    if not (isinstance(orders, list) and all(
+            isinstance(order, list) and all(type(x) is int for x in order)
+            for order in orders)):
+        raise InvalidInput(f"{path}: 'orders' must be lists of integers")
+    if not _is_str_list(accepted):
+        raise InvalidInput(f"{path}: 'accepted' must be a list of strings")
+    return BooleanRealizer(tuple(map(tuple, orders)), frozenset(accepted))
 
 
 # -- certificates -------------------------------------------------------------------
@@ -304,10 +305,6 @@ def _text_digest(text: str, digest) -> Optional[str]:
     return hashlib.sha256((head + tail).encode()).hexdigest()
 
 
-def _is_command(value) -> bool:
-    return isinstance(value, list) and all(isinstance(arg, str) for arg in value)
-
-
 _DIGEST_ENTRY = re.compile(r',"digest":"([0-9a-f]{64})",')
 
 
@@ -325,7 +322,7 @@ def certificate_head(text: str) -> Optional[tuple[list, str]]:
     except (ValueError, RecursionError):
         return None
     entry = _DIGEST_ENTRY.match(text, end)
-    if not _is_command(command) or entry is None:
+    if not _is_str_list(command) or entry is None:
         return None
     digest = entry.group(1)
     return (command, digest) if _text_digest(text, digest) == digest else None
@@ -337,25 +334,15 @@ def load_certificate(path: PathLike) -> dict:
 
 
 def parse_certificate(path: PathLike, text: str) -> dict:
-    """The certificate in ``text``, read from ``path``, if its digest matches.
-
-    The digest is checked over the file's own text first; only a file in
-    another layout (indented, reordered) is re-encoded to check it. A file
-    that digests its own non-canonical text passes here, so a caller that
-    answers from the digest must confirm ``certificate_digest`` first.
-    """
+    """The certificate in ``text``, read from ``path``, if its digest is
+    ``certificate_digest`` of its payload, whatever the file's layout."""
     payload = _parse_json(path, text)
     if payload.get("kind") != "certificate":
         raise InvalidInput(f"{path}: not a certificate file")
     if "digest" not in payload:
         raise InvalidInput(f"{path}: certificate has no digest")
-    digest = payload["digest"]
-    # A bad command is reported only when the payload's own digest matches:
-    # a file may digest its own text and still have been altered.
-    command_ok = _is_command(payload.get("command"))
-    if (not command_ok or _text_digest(text, digest) != digest) and \
-            certificate_digest(payload) != digest:
+    if certificate_digest(payload) != payload["digest"]:
         raise InvalidInput(f"{path}: digest mismatch; payload was altered")
-    if not command_ok:
+    if not _is_str_list(payload.get("command")):
         raise InvalidInput(f"{path}: command must be a list of strings")
     return payload

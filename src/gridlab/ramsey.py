@@ -904,6 +904,8 @@ def run_engine(keys: Sequence, structures, r: int, kind: str,
     structures onto themselves, so the search breaks it (refused with
     ContractViolation when the structures are not invariant) and the
     verdict's reason says so."""
+    if r < 1:
+        raise ContractViolation("color count must be positive")
     if any(len(s) == 0 for s in structures):
         return Verdict("true", reason="a key-free substructure is always monochromatic")
     if not structures:

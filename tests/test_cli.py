@@ -82,6 +82,90 @@ def test_subgrid_verify_rejects_t_below_one():
         65, "input error: need t >= 1 and 1 <= m <= l <= n, got (0, 1, 2, 4)")
 
 
+_KIND_SIZES = {"comparability": ["--t", "1", "--p-chain", "3"],
+               "subgrid": ["--t", "2", "--m", "1", "--l", "2"],
+               "subposet": ["--t", "2", "--m", "1", "--l", "2"]}
+
+
+@pytest.mark.parametrize("r", ["0", "-2"])
+@pytest.mark.parametrize("kind", sorted(_KIND_SIZES))
+@pytest.mark.parametrize("command, size", [("verify", "--n"), ("search", "--n-max")])
+def test_a_color_count_below_one_is_bad_input(tmp_path, r, kind, command, size):
+    out = tmp_path / "cert.json"
+    argv = ["ramsey", command, "--kind", kind, *_KIND_SIZES[kind], "--r", r, size, "4",
+            "--out", str(out)]
+    for workers in ([], ["--workers", "2"]):
+        result = cli.run(workers + argv)
+        assert (result.exit_code, result.output) == (
+            65, "input error: color count must be positive")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "-0.5", "-inf", "soon"])
+def test_a_time_limit_that_cannot_fire_is_a_usage_error(value):
+    result = cli.run(["ramsey", "verify", "--kind", "subgrid", "--t", "2", "--r", "2",
+                      "--m", "1", "--l", "2", "--n", "3", f"--time-limit={value}"])
+    assert (result.exit_code, result.output) == (
+        64, f"usage error: argument --time-limit: expected a non-negative number, got {value!r}")
+
+
+def test_a_zero_time_limit_is_inconclusive():
+    result = cli.run(["ramsey", "verify", "--kind", "subgrid", "--t", "3", "--r", "2",
+                      "--m", "1", "--l", "2", "--n", "7", "--time-limit", "0"])
+    assert result.exit_code == 2 and "time limit exceeded" in result.output
+
+
+def _write(path, payload):
+    path.write_text(json.dumps({"format_version": 1, **payload}))
+    return str(path)
+
+
+@pytest.mark.parametrize("payload", [
+    {"elements": ["x", "y"], "covers": 5},
+    {"elements": ["x", ["y"]], "covers": []},
+    {"elements": [0, 1], "covers": [[0, 1]]},
+    {"elements": ["x", "y"], "covers": [["x", ["y"]]]},
+    {"elements": ["x", "y"], "covers": [["x", "y", "x"]]},
+    {"elements": [], "covers": []},
+    {"covers": []},
+], ids=["covers-not-a-list", "unhashable-label", "int-labels", "unhashable-pair-label",
+        "triple", "empty", "no-elements"])
+def test_a_malformed_poset_file_is_bad_input(tmp_path, payload):
+    path = _write(tmp_path / "p.poset", {"kind": "poset", **payload})
+    assert cli.run(["poset", "info", path]).exit_code == 65
+
+
+@pytest.mark.parametrize("payload", [
+    {"vertices": ["a", "b"], "edges": 5},
+    {"vertices": ["a", ["b"]], "edges": []},
+    {"vertices": [0, 1], "edges": [[0, 1]]},
+    {"vertices": ["a", "b"], "edges": [["a", ["b"]]]},
+    {"vertices": ["a", "b"], "edges": [["a", "c"]]},
+    {"vertices": ["a", "a"]},
+], ids=["edges-not-a-list", "unhashable-label", "int-labels", "unhashable-pair-label",
+        "unknown-label", "repeated-label"])
+def test_a_malformed_graph_file_is_bad_input(tmp_path, payload):
+    host = _write(tmp_path / "h.graph", {"kind": "graph", **payload})
+    pattern = _write(tmp_path / "g.graph", {"kind": "graph", "vertices": ["a"]})
+    assert cli.run(["graph", "refute", "--host", host, "--pattern", pattern]).exit_code == 65
+
+
+@pytest.mark.parametrize("payload", [
+    {"orders": [["0", "1"]], "accepted": ["1"]},
+    {"orders": [[0, 1]], "accepted": "1"},
+    {"orders": [[True, False]], "accepted": ["1"]},
+    {"orders": 5, "accepted": ["1"]},
+    {"orders": [[0, 1]], "accepted": [1]},
+    {"accepted": ["1"]},
+], ids=["str-order", "accepted-a-string", "bool-order", "orders-not-a-list",
+        "int-accepted", "no-orders"])
+def test_a_malformed_boolean_realizer_file_is_bad_input(tmp_path, payload):
+    save_poset(tmp_path / "p.poset", make_chain(2))
+    realizer = _write(tmp_path / "br.json", {"kind": "boolean-realizer", **payload})
+    result = cli.run(["bdim", "check", str(tmp_path / "p.poset"), realizer])
+    assert result.exit_code == 65
+
+
 @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5"])
 def test_a_bad_worker_count_is_a_usage_error(monkeypatch, value):
     monkeypatch.delenv("GRIDLAB_WORKERS", raising=False)
@@ -296,16 +380,22 @@ def test_unexpected_exception_exits_70_with_traceback(monkeypatch, capsys):
 
 def _reference_verify(args, argv):
     """``gridlab verify`` as it was before the canonical head: load the whole file first."""
-    from gridlab.fileio import load_certificate
+    from gridlab.errors import InvalidInput
+    from gridlab.fileio import certificate_digest, load_certificate
     cert = load_certificate(args.certificate)
+
+    def confirm_digest():
+        if certificate_digest(cert) != cert["digest"]:
+            raise InvalidInput(f"{args.certificate}: digest mismatch; payload was altered")
+
     try:
         rerun = cli.run(cert["command"])
     except Exception:
-        cli._confirm_digest(args.certificate, cert)
+        confirm_digest()
         raise
     if rerun.certificate is not None and rerun.certificate["digest"] == cert["digest"]:
         return cli.RunResult(cli.EX_TRUE, "certificate reproduced bit-exactly")
-    cli._confirm_digest(args.certificate, cert)
+    confirm_digest()
     if rerun.certificate is None:
         if rerun.exit_code not in (cli.EX_TRUE, cli.EX_FALSE):
             return rerun
@@ -345,6 +435,9 @@ def _verify_variants(cert):
     version2 = dict(cert, format_version=2)
     version2["digest"] = certificate_digest(version2)
     cut = canonical[:(canonical.index('"format_version"') + len(canonical)) // 2]
+    # Valid JSON outside canonical layout (the digest entry first) whose
+    # digest is the hash of its own text, not of its payload.
+    reordered = json.dumps({"digest": cert["digest"], **cert}, separators=(",", ":"))
     return {
         "canonical": (canonical, True),
         "indented": (json.dumps(cert, indent=2), True),
@@ -354,6 +447,7 @@ def _verify_variants(cert):
         "truncated": (cut, False),
         "truncated-self-digested": (_self_digested(cut), True),
         "format-version-2": (canonical_json(version2) + "\n", True),
+        "reordered-self-digested": (_self_digested(reordered), False),
     }
 
 
@@ -388,6 +482,8 @@ def test_verify_answers_as_the_full_load_did(tmp_path, monkeypatch, source):
     assert cli.run(["verify", str(tmp_path / "drifted.json")]).exit_code == 1
     assert cli.run(["verify", str(tmp_path / "format-version-2.json")]).output.endswith(
         "unsupported format_version")
+    assert cli.run(["verify", str(tmp_path / "reordered-self-digested.json")]).output.endswith(
+        "digest mismatch; payload was altered")
 
 
 def test_a_reproduced_canonical_certificate_is_never_loaded(tmp_path, monkeypatch):

@@ -6,7 +6,6 @@ from itertools import combinations
 
 import pytest
 
-from gridlab import fileio
 from gridlab.booldim import BooleanRealizer
 from gridlab.errors import InvalidInput
 from gridlab.fileio import (
@@ -144,19 +143,6 @@ def test_json_nested_too_deep_is_bad_input(tmp_path):
         load_certificate(path)
     with pytest.raises(InvalidInput, match="cannot read"):
         load_poset(path)
-
-
-def test_a_canonical_certificate_loads_without_re_encoding(tmp_path, monkeypatch):
-    cert = make_certificate(["grid", "core", "--s", "2"], {"s": 2, "digest": "x"}, "core",
-                            [[0, 0], [1, 2], [2, 1], [3, 3]])
-    path = tmp_path / "cert.json"
-    save_certificate(path, cert)
-
-    def re_encode(payload):
-        raise AssertionError("a canonical file is checked over its own text")
-
-    monkeypatch.setattr(fileio, "certificate_digest", re_encode)
-    assert load_certificate(path) == cert
 
 
 def test_certificate_head_reads_only_a_canonical_file_that_hashes_to_its_digest(tmp_path):
