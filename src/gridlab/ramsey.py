@@ -93,14 +93,18 @@ def _check_deadline() -> None:
 # -- colorings ----------------------------------------------------------------
 
 
+def _require_colors(r: int) -> None:
+    if r < 1:
+        raise ContractViolation("color count must be positive")
+
+
 class Coloring:
     """A total map from canonical structure keys to colors 1..r."""
 
     def __init__(self, kind: str, r: int):
         if kind not in (KIND_COMPARABILITY, KIND_SUBGRID, KIND_SUBPOSET, KIND_PARTITION):
             raise ContractViolation(f"unknown coloring kind {kind!r}")
-        if r < 1:
-            raise ContractViolation("color count must be positive")
+        _require_colors(r)
         self.kind = kind
         self.r = r
 
@@ -560,25 +564,27 @@ def search_counterexample(num_keys: int, structures: Sequence[tuple[int, ...]], 
                           symmetry: Optional[Symmetry] = None) -> Optional[tuple[int, ...]]:
     """A coloring of 0..num_keys-1 leaving no structure monochromatic, or None.
 
-    Each structure is a set of distinct keys. Deterministic: keys are branched
-    in index order, colors in increasing order, and the first key is pinned
-    to color 1 (color permutations act on the counterexample space). A node
-    is one attempt of a color not forbidden on its key; past ``node_guard``
-    nodes the search raises GuardExceeded.
+    Each structure is a tuple of keys; a repeated key counts once. Deterministic:
+    keys are branched in index order, colors in increasing order, and the
+    first key is pinned to color 1 (color permutations act on the
+    counterexample space). A node is one attempt of a color not forbidden on
+    its key; past ``node_guard`` nodes the search raises GuardExceeded.
 
     The state is a few big ints over the keys: ``assigned``, ``col[c]`` (keys
-    colored c) and ``forb[c]`` (keys where c is forbidden), and each structure
-    is one key mask. The search is an explicit stack of frames, each holding
-    the state it started from, so undoing an attempt is dropping its copy.
+    colored c) and ``forb[c]`` (keys where c is forbidden), and a few over the
+    structures: the counters ``ge[j]`` (structures with at least j colored
+    keys) and ``dead[c]`` (structures holding a key of a color other than c).
+    A structure of z keys starts at smax - z counted keys, smax being the
+    largest size, so every structure is full at ``ge[smax]`` and has one hole
+    at ``ge[smax - 1]``. The search is an explicit stack of frames, each
+    holding the state it started from, so undoing an attempt is dropping its
+    copy.
 
-    Coloring k with c can complete a structure of three or more keys, or
-    leave it one hole, only if another of its keys already has color c. So
-    the structures of 3 or 4 keys are also indexed by key pair, and the
-    propagation walks only those shared with the c-colored partners of k,
-    each through its lowest such partner; structures of other sizes are
-    always scanned. When k has more c-colored partners than its structure
-    counts make the walk worth, it scans all structures holding k instead.
-    Either way propagation reaches the same fixpoint, so nodes do not change.
+    Coloring k with c adds one to the counters of the structures holding k (a
+    bitset over the structures, built once) and marks them dead for every
+    other color. Of those still live for c, a full one is a monochromatic
+    conflict, and one with one hole forbids c at its hole; a hole left with
+    one color takes it, and one left with none is a conflict.
 
     A ``symmetry`` declares a group of key permutations that maps the
     structures onto themselves; the search then also breaks it (see
@@ -587,57 +593,40 @@ def search_counterexample(num_keys: int, structures: Sequence[tuple[int, ...]], 
     return next(_Engine(num_keys, structures, r, symmetry).walk(node_guard))[2]
 
 
-def _structure_index(num_keys: int, structures) -> tuple[list, list, list, list, list]:
-    """The engine's tables over keys 0..num_keys-1, built in one pass over the
-    structures: (touching, pairs, nbr, always, limit).
+def _structure_bits(num_keys: int, structures) -> tuple[list, list, list]:
+    """The engine's tables, built in one pass over the structures: (holding,
+    masks, counts).
 
-    touching[k] holds the masks of the structures holding k, in structure
-    order. pairs[k][j] is pairs[j][k]: the masks of the 3- and 4-key
-    structures holding k and j. nbr[k] holds the keys other than k that share
-    such a structure with k. always[k] holds the masks of touching[k] that the
-    pair walk skips, and is touching[k] itself while k is in no 3- or 4-key
-    structure. Walking one partner costs about its share of k's pair entries
-    plus a fixed step; past limit[k] partners the full scan of touching[k] is
-    cheaper. A structure may repeat keys; a key outside 0..num_keys-1 raises.
+    holding[k] is the bitset of the structures holding key k, masks[i] is the
+    key mask of structure i, and counts[j] is the bitset of the structures
+    with at least j keys counted before any is colored, for j in 0..smax: a
+    structure of z distinct keys starts at smax - z. A structure may repeat
+    keys; a key outside 0..num_keys-1 raises.
     """
-    touching = [[] for _ in range(num_keys)]
-    always = touching[:]
-    pairs = [{} for _ in range(num_keys)]
-    nbr = [0] * num_keys
-    for keys in structures:
+    width = (len(structures) + 7) >> 3
+    holding = [bytearray(width) for _ in range(num_keys)]
+    by_size = {}  # size -> the bitset of the structures of that size, as bytes
+    masks = []
+    for i, keys in enumerate(structures):
+        byte, bit = i >> 3, 1 << (i & 7)
         mask = 0
         for k in keys:
-            mask |= 1 << k
+            mask |= 1 << k  # a negative key raises here, before a row read at it wraps
+            holding[k][byte] |= bit
+        masks.append(mask)
         size = mask.bit_count()
-        if size != len(keys):
-            keys = {*keys}
-        if 3 <= size <= 4:
-            for k in keys:
-                masks = touching[k]
-                if always[k] is masks:
-                    always[k] = masks[:]
-                masks.append(mask)
-                nbr[k] |= mask
-            for k, j in combinations(keys, 2):
-                pk = pairs[k]
-                if j in pk:
-                    pk[j].append(mask)
-                else:
-                    pk[j] = pairs[j][k] = [mask]
-        else:
-            for k in keys:
-                masks = touching[k]
-                masks.append(mask)
-                if always[k] is not masks:
-                    always[k].append(mask)
-    limit = [0] * num_keys
-    for k, partners in enumerate(nbr):
-        if partners:
-            partners ^= 1 << k
-            nbr[k] = partners
-            per_partner = sum(map(len, pairs[k].values())) / partners.bit_count()
-            limit[k] = (len(touching[k]) - len(always[k])) / (per_partner + 1.5)
-    return touching, pairs, nbr, always, limit
+        if size not in by_size:
+            by_size[size] = bytearray(width)
+        by_size[size][byte] |= bit
+    for k, row in enumerate(holding):
+        holding[k] = int.from_bytes(row, "little")
+    smax = max(by_size, default=0)
+    counts = [(1 << len(structures)) - 1] + [0] * smax
+    below = 0
+    for size in range(smax):
+        below |= int.from_bytes(by_size.get(size, b""), "little")
+        counts[smax - size] = below
+    return holding, masks, counts
 
 
 class _NodeGuard(GuardExceeded):
@@ -645,7 +634,7 @@ class _NodeGuard(GuardExceeded):
 
 
 class _Engine:
-    """``search_counterexample``'s walk over one instance, its index built once.
+    """``search_counterexample``'s walk over one instance, its tables built once.
 
     ``walk(node_guard, handoff=math.inf, state=None)`` searches depth first
     from ``state`` (default: nothing colored). In search order it yields
@@ -653,7 +642,9 @@ class _Engine:
     than ``handoff`` nodes are spent, ``(nodes, state, None)`` for each live
     state it reaches, whose subtree it skips: the untried siblings along the
     path, deepest first. Then it yields ``(nodes, None, None)``. ``nodes``
-    counts the nodes so far; a state is (assigned, col, forb).
+    counts the nodes so far. A state is one list of ints: ``assigned`` at 0,
+    then ``col[1..r]``, ``forb[1..r]``, ``dead[1..r]`` and ``ge[0..smax]``
+    (see ``search_counterexample``), so ``state[c]`` is ``col[c]``.
 
     With a ``symmetry`` the walk keeps its constraints: a key is branched
     only on the colors they admit, and a state whose propagation colored a
@@ -674,62 +665,64 @@ class _Engine:
                     raise ContractViolation(f"the structures over {num_keys} keys are not "
                                             f"invariant under {symmetry.name}")
         empty = not all(structures)  # an empty structure is monochromatic under every coloring
-        touching, pairs, nbr, always, limit = _structure_index(num_keys, structures)
+        holding, masks, counts = _structure_bits(num_keys, structures)
         colors = range(1, r + 1)
-        others = [()] + [tuple(cc for cc in colors if cc != c) for c in colors]
+        ge = 3 * r + 1  # state[ge + j] is ge[j]
+        full = ge + len(counts) - 1  # ge[smax]
+        # For color c: its forb and dead slots, and each other color with its own.
+        slots = [None] + [(r + c, 2 * r + c,
+                           [(cc, r + cc, 2 * r + cc) for cc in colors if cc != c])
+                          for c in colors]
 
-        def propagate(assigned: int, col: list, forb: list, key: int, color: int) -> int:
-            """Color key and all that it forces, updating col and forb in place;
-            the new assigned mask, or -1 on conflict."""
+        def propagate(state: list, key: int, color: int) -> bool:
+            """Color key and all that it forces, updating the state in place;
+            False on conflict."""
+            assigned = state[0]
             queue = [(key, color)]
             while queue:
                 k, c = queue.pop()
                 bit = 1 << k
-                colc = col[c]
                 if assigned & bit:
-                    if colc & bit:
+                    if state[c] & bit:
                         continue
-                    return -1
-                forbc = forb[c]
+                    return False
+                forb, dead, others = slots[c]
+                forbc = state[forb]
                 if forbc & bit:
-                    return -1
-                other = assigned ^ colc  # keys with a color other than c
+                    return False
                 assigned |= bit
+                state[c] |= bit
+                held = holding[k]
+                # Count k in each structure holding it: ge[j] gains those at j - 1.
+                carry, j = held, ge + 1
+                while carry:
+                    state[j], carry = state[j] | carry, state[j] & held
+                    j += 1
+                for _, _, other_dead in others:
+                    state[other_dead] |= held
+                live = held ^ (held & state[dead])  # with no key of another color
+                if live & state[full]:
+                    return False  # completed monochromatic
+                holes = live & state[full - 1]
                 free = ~assigned
-                rest = nbr[k] & colc  # the c-colored partners still to walk
-                if rest.bit_count() > limit[k]:
-                    scan, rest = touching[k], 0
-                else:
-                    scan = always[k]
-                skip = other
-                pk = pairs[k]
-                while True:
-                    for mask in scan:
-                        if mask & skip:
-                            continue  # two colors, or reached through a lower partner
-                        hole = mask & free
-                        if not hole:
-                            return -1  # completed monochromatic
-                        if hole & (hole - 1) or forbc & hole:
-                            continue
-                        forbc |= hole
-                        left = 0
-                        for cc in others[c]:
-                            if not forb[cc] & hole:
-                                left = -1 if left else cc
-                        if not left:
-                            return -1
-                        if left > 0:
-                            queue.append((hole.bit_length() - 1, left))
-                    if not rest:
-                        break
-                    low = rest & -rest
-                    rest ^= low
-                    skip = other | colc & (low - 1)
-                    scan = pk[low.bit_length() - 1]
-                col[c] = colc | bit
-                forb[c] = forbc
-            return assigned
+                while holes:
+                    i = holes.bit_length() - 1
+                    holes ^= 1 << i
+                    hole = masks[i] & free
+                    if forbc & hole:
+                        continue
+                    forbc |= hole
+                    left = 0
+                    for cc, other_forb, _ in others:
+                        if not state[other_forb] & hole:
+                            left = -1 if left else cc
+                    if not left:
+                        return False
+                    if left > 0:
+                        queue.append((hole.bit_length() - 1, left))
+                state[forb] = forbc
+            state[0] = assigned
+            return True
 
         def coloring(col: list) -> tuple[int, ...]:
             return tuple(next(c for c in colors if col[c] >> k & 1) for k in range(num_keys))
@@ -737,24 +730,25 @@ class _Engine:
         tries, passes = (None, None) if symmetry is None else symmetry.constraints(colors)
 
         def walk(node_guard, handoff=math.inf, state=None):
-            assigned, col, forb = state or (-1 if empty else 0, [0] * (r + 1), [0] * (r + 1))
-            full = (1 << num_keys) - 1
+            state = state or [-1 if empty else 0] + [0] * (3 * r) + counts
+            done = (1 << num_keys) - 1
             # A frame: (the lowest uncolored key, its bit, its colors left to try, the
             # state before it). Only a walk that starts from nothing pins its first key,
             # and under symmetry breaking constraint (b) pins it.
             stack = []
-            if assigned == full:
-                yield 0, (assigned, col, forb), coloring(col)
+            assigned = state[0]
+            if assigned == done:
+                yield 0, state, coloring(state)
             elif assigned >= 0:
                 low = ~assigned & (assigned + 1)
                 key = low.bit_length() - 1
-                todo = tries(col, key) if tries else colors if assigned else colors[:1]
-                stack.append((key, low, iter(todo), assigned, col, forb))
+                todo = tries(state, key) if tries else colors if assigned else colors[:1]
+                stack.append((key, low, iter(todo), state))
             nodes = 0
             while stack:
-                cursor, cbit, todo, assigned0, col0, forb0 = stack[-1]
+                cursor, cbit, todo, before = stack[-1]
                 for c in todo:
-                    if forb0[c] & cbit:
+                    if before[r + c] & cbit:
                         continue
                     nodes += 1
                     if nodes > node_guard:
@@ -762,23 +756,22 @@ class _Engine:
                                          f"{node_guard} at depth {cursor}/{num_keys}")
                     if not nodes & 0xFFF:
                         _check_deadline()
-                    col = col0[:]
-                    forb = forb0[:]
-                    assigned = propagate(assigned0, col, forb, cursor, c)
-                    if assigned >= 0 and (not passes or passes(col, cursor + 1, assigned)):
+                    state = before[:]
+                    if propagate(state, cursor, c) and \
+                            (not passes or passes(state, cursor + 1, state[0])):
                         break
                 else:
                     stack.pop()
                     continue
-                if assigned == full:
-                    yield nodes, (assigned, col, forb), coloring(col)
+                assigned = state[0]
+                if assigned == done:
+                    yield nodes, state, coloring(state)
                 elif nodes > handoff:
-                    yield nodes, (assigned, col, forb), None
+                    yield nodes, state, None
                 else:
                     low = ~assigned & (assigned + 1)
                     key = low.bit_length() - 1
-                    stack.append((key, low, iter(tries(col, key) if tries else colors),
-                                  assigned, col, forb))
+                    stack.append((key, low, iter(tries(state, key) if tries else colors), state))
             yield nodes, None, None
 
         self.walk = walk
@@ -904,8 +897,7 @@ def run_engine(keys: Sequence, structures, r: int, kind: str,
     structures onto themselves, so the search breaks it (refused with
     ContractViolation when the structures are not invariant) and the
     verdict's reason says so."""
-    if r < 1:
-        raise ContractViolation("color count must be positive")
+    _require_colors(r)
     if any(len(s) == 0 for s in structures):
         return Verdict("true", reason="a key-free substructure is always monochromatic")
     if not structures:
@@ -995,7 +987,9 @@ def verify_grid_ramsey(kind: str, t: int, r: int, m: int, l: int, n: int, *,
 
 
 def verify_at(kind: str, t: int, r: int, m: int, l: int, n: int, **guards) -> Verdict:
-    """The verdict at size n: an l^t grid's comparabilities in n^t, or a grid kind."""
+    """The verdict at size n: an l^t grid's comparabilities in n^t, or a grid
+    kind. A color count below 1 is refused before any structure is built."""
+    _require_colors(r)
     if kind == KIND_COMPARABILITY:
         return verify_comparability_ramsey(grid(l, t), grid(n, t), r, **guards)
     return verify_grid_ramsey(kind, t, r, m, l, n, **guards)
@@ -1032,7 +1026,9 @@ def scan_threshold(sizes: Iterable[int], verify: Callable[[int], Verdict]) -> Th
 
 def min_ramsey_n(t: int, r: int, m: int, l: int, kind: str, n_max: int,
                  **guards) -> ThresholdResult:
-    """Smallest n in l..n_max passing ``verify_at``; see ``scan_threshold``."""
+    """Smallest n in l..n_max passing ``verify_at``; see ``scan_threshold``. A
+    color count below 1 is refused before any size is scanned."""
+    _require_colors(r)
     return scan_threshold(range(l, n_max + 1),
                           lambda n: verify_at(kind, t, r, m, l, n, **guards))
 

@@ -101,6 +101,18 @@ def test_a_color_count_below_one_is_bad_input(tmp_path, r, kind, command, size):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    # a scan whose sizes start past --n-max
+    ["search", "--kind", "subgrid", "--t", "2", "--m", "1", "--l", "2", "--n-max", "1"],
+    ["search", "--kind", "comparability", "--t", "1", "--p-chain", "3", "--n-max", "2"],
+    # 20^3 has more 2x2x2 boxes than the structure guard allows
+    ["verify", "--kind", "subgrid", "--t", "3", "--m", "1", "--l", "2", "--n", "20"],
+], ids=["subgrid-empty-scan", "comparability-empty-scan", "past-the-structure-guard"])
+def test_a_color_count_below_one_is_refused_before_any_size(argv):
+    result = cli.run(["ramsey", *argv, "--r", "0"])
+    assert (result.exit_code, result.output) == (65, "input error: color count must be positive")
+
+
 @pytest.mark.parametrize("value", ["nan", "-0.5", "-inf", "soon"])
 def test_a_time_limit_that_cannot_fire_is_a_usage_error(value):
     result = cli.run(["ramsey", "verify", "--kind", "subgrid", "--t", "2", "--r", "2",

@@ -1,5 +1,5 @@
-"""The counterexample engine: brute-force differential, its structure index
-against a two-pass build, pinned node counts, pinned certificates,
+"""The counterexample engine: brute-force differential, its structure bitsets
+against a plain-set reference, pinned node counts, pinned certificates,
 serial/parallel agreement, guard reasons, deep instances and lex-leader
 symmetry breaking on chain hosts and cell boxes."""
 
@@ -53,9 +53,15 @@ def _first_good_coloring(num_keys, structures, r):
 def _instances(draw):
     num_keys = draw(st.integers(0, 9))
     r = draw(st.integers(1, 3))
-    keys = st.sets(st.integers(0, max(num_keys - 1, 0)), max_size=num_keys)
-    structures = [tuple(sorted(s)) for s in draw(st.lists(keys, max_size=12))]
-    return num_keys, structures, r
+    key = st.integers(0, max(num_keys - 1, 0))
+    structure = st.sets(key, max_size=num_keys).map(lambda s: tuple(sorted(s)))
+    if num_keys:
+        # A key repeated in any position counts once toward the structure's
+        # size, so the engine's pre-counted start of each size is tried.
+        repeated = st.lists(key, min_size=1, max_size=num_keys).flatmap(
+            lambda ks: st.permutations(ks + ks[:1])).map(tuple)
+        structure = st.one_of(structure, repeated)
+    return num_keys, draw(st.lists(structure, max_size=12)), r
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -745,53 +751,28 @@ def test_subposet_hull_lookup_keeps_the_time_limit(monkeypatch):
     assert (verdict.status, verdict.reason) == ("inconclusive", "time limit exceeded")
 
 
-def _reference_index(num_keys, structures):
-    """The engine's tables as two passes build them: each structure's keys as
-    a set, then always and limit from a bit count of each mask in touching."""
-    touching = [[] for _ in range(num_keys)]
-    pairs = [{} for _ in range(num_keys)]
-    nbr = [0] * num_keys
-    for keys in structures:
-        mask = 0
-        for k in keys:
-            mask |= 1 << k
-        keys = {*keys}
-        indexed = 3 <= len(keys) <= 4
-        for k in keys:
-            touching[k].append(mask)
-            if indexed:
-                nbr[k] |= mask
-                pk = pairs[k]
-                for j in keys:
-                    if j > k:
-                        if j in pk:
-                            pk[j].append(mask)
-                        else:
-                            pk[j] = pairs[j][k] = [mask]
-    always = []
-    limit = []
-    for k, masks in enumerate(touching):
-        if not nbr[k]:
-            always.append(masks)
-            limit.append(0)
-            continue
-        nbr[k] ^= 1 << k
-        always.append([mask for mask in masks if not 3 <= mask.bit_count() <= 4])
-        per_partner = sum(map(len, pairs[k].values())) / nbr[k].bit_count()
-        limit.append((len(masks) - len(always[k])) / (per_partner + 1.5))
-    return touching, pairs, nbr, always, limit
+def _reference_bits(num_keys, structures):
+    """The engine's tables from plain sets: the structures holding each key,
+    each structure's key set, and for j in 0..smax the structures counted at
+    least j times before any key is colored, a structure of z distinct keys
+    starting at smax - z."""
+    sets = [set(keys) for keys in structures]
+    smax = max(map(len, sets), default=0)
+    holding = [{i for i, keys in enumerate(sets) if k in keys} for k in range(num_keys)]
+    counts = [{i for i, keys in enumerate(sets) if smax - len(keys) >= j}
+              for j in range(smax + 1)]
+    return holding, sets, counts
 
 
-def _assert_index_matches_the_reference(num_keys, structures):
-    got = ramsey._structure_index(num_keys, structures)
-    want = _reference_index(num_keys, structures)
-    assert got == want
-    # pairs[k][j] is pairs[j][k], and always[k] shares touching[k] where the
-    # reference shares it.
-    touching, pairs, _, always, _ = got
-    assert all(pk[j] is pairs[j][k] for k, pk in enumerate(pairs) for j in pk)
-    assert [a is t for a, t in zip(always, touching)] == \
-        [a is t for a, t in zip(want[3], want[0])]
+def _members(bits):
+    return {i for i in range(bits.bit_length()) if bits >> i & 1}
+
+
+def _assert_bits_match_the_reference(num_keys, structures):
+    holding, masks, counts = ramsey._structure_bits(num_keys, structures)
+    want = _reference_bits(num_keys, structures)
+    assert ([_members(x) for x in holding], [_members(x) for x in masks],
+            [_members(x) for x in counts]) == want
 
 
 @st.composite
@@ -805,8 +786,8 @@ def _unsorted_structures(draw):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_unsorted_structures())
-def test_the_one_pass_index_matches_the_two_pass_build(instance):
-    _assert_index_matches_the_reference(*instance)
+def test_the_structure_bits_match_a_set_reference(instance):
+    _assert_bits_match_the_reference(*instance)
 
 
 @pytest.mark.parametrize("verify", [
@@ -814,19 +795,16 @@ def test_the_one_pass_index_matches_the_two_pass_build(instance):
     lambda: verify_grid_ramsey(KIND_SUBPOSET, 2, 2, 2, 3, 5),
     lambda: _chain(16),
 ], ids=["subposet-hulls-6x6", "subposet-m2-hulls-5x5", "triangles-K16"])
-def test_the_one_pass_index_matches_on_verify_inputs(monkeypatch, verify):
+def test_the_structure_bits_match_on_verify_inputs(monkeypatch, verify):
     keys, structures, _, _ = _engine_inputs(monkeypatch, verify)
-    _assert_index_matches_the_reference(len(keys), structures)
+    _assert_bits_match_the_reference(len(keys), structures)
 
 
 @pytest.mark.parametrize("structure", [(-1,), (0, -1, 2), (0, 1, 2, -3), (0, 1, 2, -3, 4),
                                        (5,), (0, 1, 5), (0, 2, 3, 5), (5, 0, 1, 2, 3)])
 def test_the_index_refuses_keys_out_of_range(structure):
-    # A negative shift raises ValueError and a key past the tables IndexError;
-    # a table of key bits read at a negative key would wrap instead.
+    # A negative shift raises ValueError and a key past the rows IndexError; a
+    # list of rows or a bytearray read at a negative key would wrap instead.
     error = ValueError if min(structure) < 0 else IndexError
     with pytest.raises(error):
-        _reference_index(5, [(0, 1, 2), structure])
-    with pytest.raises(error):
-        ramsey._structure_index(5, [(0, 1, 2), structure])
-
+        ramsey._structure_bits(5, [(0, 1, 2), structure])
