@@ -40,12 +40,13 @@ from .grids import Subgrid, casual_embeddings, core, grid, unique_realizer_check
 from .poset import LinearExtension, is_isomorphic, linear_extensions
 from .ramsey import (
     KIND_COMPARABILITY,
+    KIND_SUBGRID,
     KIND_SUBPOSET,
     NODE_GUARD,
     hash_coloring,
     min_ramsey_n,
-    reduce_comparability_to_subgrid,
-    reduce_subposet_to_subgrid,
+    reduce_comparability_product,
+    reduce_subposet_product,
     time_limit,
     verify_at,
 )
@@ -57,6 +58,9 @@ EX_USAGE = 64
 EX_DATAERR = 65
 EX_SOFTWARE = 70
 _THRESHOLD_EXIT = {"found": EX_TRUE, "not-found": EX_FALSE, "inconclusive": EX_INCONCLUSIVE}
+# `ramsey reduce --m`: the core reduction reads it; the comparability
+# reduction has no m and accepts only this default.
+_REDUCE_M = 2
 
 
 class _UsageError(Exception):
@@ -157,7 +161,7 @@ def _build_parser() -> _Parser:
                      choices=["comparability", "subposet"])
     red.add_argument("--n", type=int, required=True)
     red.add_argument("--t", type=int, default=2)
-    red.add_argument("--m", type=int, default=2)
+    red.add_argument("--m", type=int, default=_REDUCE_M)
     red.add_argument("--r", type=int, default=None,
                      help="color count (default 2); must match a --coloring file's")
     red.add_argument("--seed", type=int, default=0)
@@ -305,11 +309,14 @@ def _cmd_grid(args, argv) -> RunResult:
 
 
 def _cmd_ramsey(args, argv) -> RunResult:
-    from .fileio import coloring_assignment, coloring_payload, load_coloring
+    from .fileio import (coloring_assignment, coloring_payload, load_coloring,
+                         product_assignment, save_assignment)
     if args.command == "reduce":
         g = grid(args.n, args.t)
         r = 2 if args.r is None else args.r
         if args.source == "comparability":
+            if args.m != _REDUCE_M:
+                raise _UsageError("--m does not apply to --from comparability")
             if args.coloring:
                 if args.seed:
                     raise _UsageError("--seed does not apply to a --coloring file")
@@ -319,22 +326,20 @@ def _cmd_ramsey(args, argv) -> RunResult:
                 r = c.r
             else:
                 c = hash_coloring(KIND_COMPARABILITY, r, args.seed)
-            reduced = reduce_comparability_to_subgrid(c, g)
+            axes, colors = reduce_comparability_product(c, g)
         else:
             if args.coloring:
                 raise _UsageError("--coloring needs --from comparability")
             c = hash_coloring(KIND_SUBPOSET, r, args.seed)
-            reduced = reduce_subposet_to_subgrid(c, g, args.m)
+            axes, colors = reduce_subposet_product(c, g, args.m)
+        items, items_text = product_assignment(axes, colors)
         if args.out:
-            from .fileio import save_coloring
-            save_coloring(args.out, reduced, g)
-        colors = sorted(set(reduced.assignment.values()))
-        text = (f"reduced {len(reduced.assignment)} subgrid keys, "
-                f"colors used: {colors}")
+            save_assignment(args.out, KIND_SUBGRID, r, g, items)
+        text = f"reduced {len(colors)} subgrid keys, colors used: {sorted(set(colors))}"
         cert = _certificate(argv,
                             {"from": args.source, "n": args.n, "t": args.t,
                              "m": args.m, "r": r, "seed": args.seed},
-                            "reduced", *coloring_assignment(reduced, g))
+                            "reduced", items, items_text)
         return RunResult(EX_TRUE, text, cert, out_written=bool(args.out))
 
     # verify and search: the kind's pattern sizes (m, l)

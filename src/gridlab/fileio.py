@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -160,6 +160,33 @@ def _key_from_json(kind: str, raw, g: GridPoset):
     return tuple(sorted(g.index(tuple(c)) for c in raw))
 
 
+def product_assignment(axes: Sequence[Sequence[tuple]], colors: Sequence[int]
+                       ) -> tuple[list, str]:
+    """The assignment list of a subgrid coloring whose keys are the product of
+    ``axes``, one sorted list of axes per dimension, and its text,
+    ``canonical_json(items)``. ``colors`` are the keys' int colors in product
+    order, which is key order. Items and text are those ``coloring_assignment``
+    gives for the same keys and colors as a ``MapColoring``.
+
+    It works one block at a time, a block being one choice of the first
+    axes: each axis is encoded once, and the block's head (``[[A,``) once.
+    """
+    lists = [[list(axis) for axis in axis_list] for axis_list in axes]
+    texts = [[canonical_json(axis) for axis in axis_list] for axis_list in lists]
+    last, last_text = lists[-1], texts[-1]
+    width = len(last)
+    items: list = []
+    fragments: list = []
+    start = 0
+    for prefix, prefix_text in zip(product(*lists[:-1]), product(*texts[:-1])):
+        block = colors[start:start + width]
+        start += width
+        head = "[[" + "".join([text + "," for text in prefix_text])
+        items += [[[*prefix, axis], color] for axis, color in zip(last, block)]
+        fragments += [f"{head}{text}],{color}]" for text, color in zip(last_text, block)]
+    return items, "[" + ",".join(fragments) + "]"
+
+
 def _assignment(coloring: MapColoring, g: GridPoset) -> tuple[list, dict, list]:
     """A coloring's (key, color) pairs sorted by key, the JSON list of each
     part of a key, and the assignment list in key order.
@@ -198,14 +225,23 @@ def coloring_assignment(coloring: MapColoring, g: GridPoset) -> tuple[list, str]
     return items, "[" + ",".join(fragments) + "]"
 
 
-def coloring_payload(coloring: MapColoring, g: GridPoset) -> dict:
+def _coloring_file(kind: str, r: int, g: GridPoset, assignment: list) -> dict:
     return {"format_version": FORMAT_VERSION, "kind": "coloring",
-            "coloring_kind": coloring.kind, "r": coloring.r,
-            "n": g.k, "t": g.t, "assignment": _assignment(coloring, g)[2]}
+            "coloring_kind": kind, "r": r, "n": g.k, "t": g.t, "assignment": assignment}
+
+
+def coloring_payload(coloring: MapColoring, g: GridPoset) -> dict:
+    return _coloring_file(coloring.kind, coloring.r, g, _assignment(coloring, g)[2])
 
 
 def save_coloring(path: PathLike, coloring: MapColoring, g: GridPoset) -> None:
     _write_json(path, coloring_payload(coloring, g))
+
+
+def save_assignment(path: PathLike, kind: str, r: int, g: GridPoset, assignment: list) -> None:
+    """Write the coloring file of an assignment list in key order, as
+    ``save_coloring`` writes a coloring's."""
+    _write_json(path, _coloring_file(kind, r, g, assignment))
 
 
 def load_coloring(path: PathLike, g: GridPoset) -> MapColoring:

@@ -249,27 +249,36 @@ class MonoWitness:
 # -- coloring reductions ----------------------------------------------------------
 
 
-def reduce_comparability_to_subgrid(coloring: Coloring, g: GridPoset) -> MapColoring:
-    """Color each 2^t subgrid by the color of its (least, greatest) pair."""
+def reduce_comparability_product(coloring: Coloring, g: GridPoset) -> tuple[list, list]:
+    """The comparability reduction as ``(axes per dimension, colors in product
+    order)``: each 2^t subgrid takes the color of its (least, greatest) pair.
+
+    The subgrids are the product of t copies of the sorted pair list, and
+    their pairs are colored in that order.
+    """
     if coloring.kind != KIND_COMPARABILITY:
         raise ContractViolation("reduction expects a comparability coloring")
     n = g.k
     if n < 2:
-        raise ContractViolation("need 1 <= m <= n for subgrid enumeration")
+        raise ContractViolation(f"the comparability reduction needs n >= 2, got {n}")
     pairs = list(combinations(range(n), 2))
-    # (axes, least, greatest), one axis at a time: an index is mixed radix n
-    # with the first axis most significant, and the order is the product order.
-    cells = [((), 0, 0)]
+    # (least, greatest), one axis at a time: an index is mixed radix n with
+    # the first axis most significant, and the order is the product order.
+    ends = [(0, 0)]
     for _ in range(g.t):
-        cells = [(axes + (pair,), lo * n + pair[0], hi * n + pair[1])
-                 for axes, lo, hi in cells for pair in pairs]
-    assignment = dict(zip([axes for axes, _, _ in cells],
-                          coloring.colors([(lo, hi) for _, lo, hi in cells])))
-    return MapColoring(KIND_SUBGRID, coloring.r, assignment)
+        ends = [(lo * n + a, hi * n + b) for lo, hi in ends for a, b in pairs]
+    return [pairs] * g.t, list(coloring.colors(ends))
 
 
-def reduce_subposet_to_subgrid(c1: Coloring, g: GridPoset, m: int) -> MapColoring:
-    """Color each (m^2)-side subgrid of n^2 by c1 evaluated at its core.
+def reduce_comparability_to_subgrid(coloring: Coloring, g: GridPoset) -> MapColoring:
+    """Color each 2^t subgrid by the color of its (least, greatest) pair."""
+    axes, colors = reduce_comparability_product(coloring, g)
+    return MapColoring(KIND_SUBGRID, coloring.r, dict(zip(iproduct(*axes), colors)))
+
+
+def reduce_subposet_product(c1: Coloring, g: GridPoset, m: int) -> tuple[list, list]:
+    """The core reduction as ``(axes per dimension, colors in product order)``:
+    each (m^2)-side subgrid (a, b) of n^2 takes c1's color at its core.
 
     The core of (a, b) is the points (a[m*i+j], b[m*j+i]), so its element
     indices are row offsets of a plus column values of b. Rows grow with
@@ -284,14 +293,19 @@ def reduce_subposet_to_subgrid(c1: Coloring, g: GridPoset, m: int) -> MapColorin
     n = g.k
     side = m * m
     if side > n:
-        raise ContractViolation("need 1 <= m <= n for subgrid enumeration")
+        raise ContractViolation(f"the core reduction needs m*m <= n, got m = {m}, n = {n}")
     axes = list(combinations(range(n), side))
     places = [(i, j) for i in range(m) for j in range(m)]
     rows = [[a[m * i + j] * n for i, j in places] for a in axes]
     cols = [[b[m * j + i] for i, j in places] for b in axes]
-    keys = [(a, b) for a in axes for b in axes]
     cores = (tuple(map(add, row, col)) for row in rows for col in cols)
-    return MapColoring(KIND_SUBGRID, c1.r, dict(zip(keys, c1.colors(cores))))
+    return [axes, axes], list(c1.colors(cores))
+
+
+def reduce_subposet_to_subgrid(c1: Coloring, g: GridPoset, m: int) -> MapColoring:
+    """Color each (m^2)-side subgrid of n^2 by c1 evaluated at its core."""
+    axes, colors = reduce_subposet_product(c1, g, m)
+    return MapColoring(KIND_SUBGRID, c1.r, dict(zip(iproduct(*axes), colors)))
 
 
 # -- monochromatic-substructure search ---------------------------------------------

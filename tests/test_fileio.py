@@ -2,7 +2,7 @@
 
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -20,6 +20,7 @@ from gridlab.fileio import (
     load_graph,
     load_poset,
     make_certificate,
+    product_assignment,
     save_boolean_realizer,
     save_certificate,
     save_coloring,
@@ -259,6 +260,12 @@ _WITNESSES = {
         KIND_SUBGRID, [s.axes for s in enumerate_subgrids(4, 3, 2)], 2, 3), grid(4, 3)),
     "subgrid-r12": lambda: (_random_coloring(
         KIND_SUBGRID, [s.axes for s in enumerate_subgrids(6, 2, 2)], 12, 4), grid(6, 2)),
+    # A full product whose dict was filled in shuffled order: it is written in key order.
+    "subgrid-shuffled": lambda: (_random_coloring(
+        KIND_SUBGRID, random.Random(6).sample([s.axes for s in enumerate_subgrids(6, 2, 3)],
+                                              400), 3, 6), grid(6, 2)),
+    "subgrid-t3-r12": lambda: (_random_coloring(
+        KIND_SUBGRID, [s.axes for s in enumerate_subgrids(5, 3, 2)], 12, 7), grid(5, 3)),
     "comparability-r12": lambda: (_random_coloring(
         KIND_COMPARABILITY, comparability_keys(grid(3, 3)), 12, 5), grid(3, 3)),
     "comparability-engine": lambda: _engine_counterexample(KIND_COMPARABILITY, 2, 2, None, 2, 3),
@@ -275,8 +282,19 @@ _WITNESSES = {
 def test_coloring_assignment_text_is_the_canonical_json_of_its_items(name):
     coloring, g = _WITNESSES[name]()
     items, text = coloring_assignment(coloring, g)
-    assert items == coloring_payload(coloring, g)["assignment"]
+    assert items == _reference_assignment(coloring, g)
     assert text == canonical_json(items)
     cert = make_certificate(["ramsey", "reduce"], {"n": g.k}, "reduced", items, text)
     assert cert["digest"] == certificate_digest(cert)
     assert cert == make_certificate(["ramsey", "reduce"], {"n": g.k}, "reduced", items)
+
+
+@pytest.mark.parametrize("name", [name for name in _WITNESSES if name.startswith("subgrid-")])
+def test_product_assignment_writes_a_full_product_as_the_per_key_reference(name):
+    coloring, g = _WITNESSES[name]()
+    axes = [sorted(set(axis_list)) for axis_list in zip(*coloring.assignment)]
+    keys = list(product(*axes))
+    assert len(keys) == len(coloring.assignment)
+    items, text = product_assignment(axes, [coloring.assignment[key] for key in keys])
+    assert items == _reference_assignment(coloring, g)
+    assert text == canonical_json(items)

@@ -13,7 +13,12 @@ import pytest
 
 from gridlab import cli, ramsey
 from gridlab.errors import ContractViolation
-from gridlab.fileio import certificate_digest, save_certificate, save_coloring
+from gridlab.fileio import (
+    certificate_digest,
+    load_coloring,
+    save_certificate,
+    save_coloring,
+)
 from gridlab.grids import Subgrid, core_elements, enumerate_subgrids, grid, subgrids_within
 from gridlab.ramsey import (
     KIND_COMPARABILITY,
@@ -119,9 +124,9 @@ def test_subposet_reduction_rejects_m_below_one(m):
 
 
 def test_reductions_reject_sides_beyond_the_grid():
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match=re.escape("needs m*m <= n, got m = 2, n = 3")):
         reduce_subposet_to_subgrid(hash_coloring(KIND_SUBPOSET, 2, 0), grid(3, 2), 2)
-    with pytest.raises(ContractViolation):
+    with pytest.raises(ContractViolation, match="needs n >= 2, got 1"):
         reduce_comparability_to_subgrid(hash_coloring(KIND_COMPARABILITY, 2, 0), grid(1, 2))
 
 
@@ -358,6 +363,37 @@ def test_reduce_cli_rejects_m_below_one(m):
     assert result.exit_code == 65
     assert result.certificate is None
     assert "m >= 1" in result.output
+
+
+def test_reduce_cli_rejects_m_with_comparability(tmp_path):
+    # The comparability reduction has no m; only the default is accepted, so
+    # one reduced coloring keeps one digest.
+    for argv in (["--m", "7"], ["--m", "1"], ["--m", "7", "--coloring", str(tmp_path / "x")]):
+        result = cli.run(_REDUCE + ["comparability", "--n", "4", *argv])
+        assert (result.exit_code, result.certificate) == (64, None)
+        assert "--m" in result.output
+    default = cli.run(_REDUCE + ["comparability", "--n", "4", "--seed", "3"])
+    explicit = cli.run(_REDUCE + ["comparability", "--n", "4", "--seed", "3", "--m", "2"])
+    assert default.exit_code == explicit.exit_code == 0
+    for field in ("parameters", "witness"):
+        assert default.certificate[field] == explicit.certificate[field]
+
+
+@pytest.mark.parametrize("argv, n, t, reduce", [
+    (["subposet", "--n", "7", "--m", "2", "--r", "3", "--seed", "5"], 7, 2,
+     lambda g: reduce_subposet_to_subgrid(hash_coloring(KIND_SUBPOSET, 3, 5), g, 2)),
+    (["comparability", "--n", "4", "--t", "3", "--r", "3", "--seed", "9"], 4, 3,
+     lambda g: reduce_comparability_to_subgrid(hash_coloring(KIND_COMPARABILITY, 3, 9), g)),
+])
+def test_reduce_out_loads_to_the_reduction(tmp_path, argv, n, t, reduce):
+    out = tmp_path / "reduced.json"
+    result = cli.run(_REDUCE + argv + ["--out", str(out)])
+    assert result.exit_code == 0
+    g = grid(n, t)
+    loaded, want = load_coloring(out, g), reduce(g)
+    assert (loaded.kind, loaded.r, loaded.assignment) == (want.kind, want.r, want.assignment)
+    assert result.output == (f"reduced {len(want.assignment)} subgrid keys, "
+                             f"colors used: {sorted(set(want.assignment.values()))}")
 
 
 def test_reduce_cli_rejects_coloring_with_subposet(tmp_path):
