@@ -309,8 +309,7 @@ def _cmd_grid(args, argv) -> RunResult:
 
 
 def _cmd_ramsey(args, argv) -> RunResult:
-    from .fileio import (coloring_assignment, coloring_payload, load_coloring,
-                         product_assignment, save_assignment)
+    from .fileio import coloring_items, load_coloring, product_assignment, save_assignment
     if args.command == "reduce":
         g = grid(args.n, args.t)
         r = 2 if args.r is None else args.r
@@ -345,9 +344,15 @@ def _cmd_ramsey(args, argv) -> RunResult:
     # verify and search: the kind's pattern sizes (m, l)
     m, l = args.m, args.l
     if args.kind == "comparability":
-        l = args.p_chain or l
+        if m is not None:
+            raise _UsageError("--m does not apply to the comparability kind")
+        if l is not None and args.p_chain is not None:
+            raise _UsageError("--l and --p-chain both give the pattern chain; give one")
+        l = l if args.p_chain is None else args.p_chain
         if l is None:
             raise _UsageError("the comparability kind needs --p-chain or --l")
+    elif args.p_chain is not None:
+        raise _UsageError("--p-chain applies to the comparability kind only")
     elif m is None or l is None:
         raise _UsageError("grid kinds need --m and --l")
     size = {"n": args.n} if args.command == "verify" else {"n_max": args.n_max}
@@ -357,11 +362,10 @@ def _cmd_ramsey(args, argv) -> RunResult:
     if args.command == "verify":
         with time_limit(args.time_limit):
             verdict = verify_at(args.kind, args.t, args.r, m, l, args.n, **guards)
-        witness, witness_text = None, None
+        witness = None
         if verdict.counterexample is not None:
-            witness, witness_text = coloring_assignment(verdict.counterexample,
-                                                        grid(args.n, args.t))
-        cert = _certificate(argv, params, verdict.status, witness, witness_text)
+            witness = coloring_items(verdict.counterexample, grid(args.n, args.t))
+        cert = _certificate(argv, params, verdict.status, witness)
         lines = [f"verdict: {verdict.status}"]
         if verdict.reason:
             lines.append(f"reason: {verdict.reason}")
@@ -371,15 +375,7 @@ def _cmd_ramsey(args, argv) -> RunResult:
 
     with time_limit(args.time_limit):
         result = min_ramsey_n(args.t, args.r, m, l, args.kind, args.n_max, **guards)
-    counterexamples = {str(n): coloring_payload(coloring, grid(n, args.t))["assignment"]
-                       for n, coloring in result.counterexamples().items()}
-    witness = {"n_found": result.found,
-               "statuses": {str(n): v.status for n, v in result.verdicts.items()},
-               "counterexamples": counterexamples}
-    cert = _certificate(argv, params, result.status, witness)
-    text = (f"minimal n: {result.found}" if result.found is not None
-            else f"no n <= {args.n_max} ({result.status})")
-    return RunResult(_THRESHOLD_EXIT[result.status], text, cert)
+    return _threshold(argv, params, result, "n", args.n_max, lambda n: grid(n, args.t))
 
 
 def _cmd_bdim(args, argv) -> RunResult:
@@ -423,18 +419,8 @@ def _cmd_extension(args, argv) -> RunResult:
     if args.command == "partition-ramsey":
         result = partition_ramsey_search(args.s, args.t, args.r, args.k_max,
                                          node_guard=args.guard, workers=args.workers)
-        witness = {"k_found": result.found,
-                   "statuses": {str(k): v.status for k, v in result.verdicts.items()},
-                   "counterexamples": {
-                       str(k): sorted([list(map(list, parts)), color]
-                                      for parts, color in cex.items())
-                       for k, cex in
-                       ((k, c.assignment) for k, c in result.counterexamples().items())}}
-        cert = _certificate(argv, {"s": args.s, "t": args.t, "r": args.r, "k_max": args.k_max},
-                            result.status, witness)
-        text = (f"minimal k: {result.found}" if result.found is not None
-                else f"no k <= {args.k_max} ({result.status})")
-        return RunResult(_THRESHOLD_EXIT[result.status], text, cert)
+        return _threshold(argv, {"s": args.s, "t": args.t, "r": args.r, "k_max": args.k_max},
+                          result, "k", args.k_max, lambda k: None)
     x = load_poset(args.poset)
     report = nonuniform_counterexample_demo(x, _parse_order(args.m1),
                                             _parse_order(args.m2))
@@ -528,6 +514,22 @@ def _cmd_acceptance(args, argv) -> RunResult:
         lines += [f"  {d}" for d in r.details]
     ok = all(r.passed for r in results)
     return RunResult(EX_TRUE if ok else EX_FALSE, "\n".join(lines))
+
+
+def _threshold(argv, params, result, size: str, size_max: int, host) -> RunResult:
+    """The certificate, line and exit code of a threshold scan over the sizes
+    called ``size``, up to ``size_max``. Each counterexample is written by
+    ``coloring_items`` against ``host(size)``, the grid its keys name (None
+    when no key names a grid element)."""
+    from .fileio import coloring_items
+    witness = {f"{size}_found": result.found,
+               "statuses": {str(x): v.status for x, v in result.verdicts.items()},
+               "counterexamples": {str(x): coloring_items(c, host(x))
+                                   for x, c in result.counterexamples().items()}}
+    cert = _certificate(argv, params, result.status, witness)
+    text = (f"minimal {size}: {result.found}" if result.found is not None
+            else f"no {size} <= {size_max} ({result.status})")
+    return RunResult(_THRESHOLD_EXIT[result.status], text, cert)
 
 
 def _certificate(command, parameters, verdict, witness, witness_text=None) -> dict:

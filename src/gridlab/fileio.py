@@ -22,6 +22,7 @@ from .grids import GridPoset
 from .poset import Poset
 from .ramsey import (
     KIND_COMPARABILITY,
+    KIND_PARTITION,
     KIND_SUBGRID,
     KIND_SUBPOSET,
     MapColoring,
@@ -165,8 +166,8 @@ def product_assignment(axes: Sequence[Sequence[tuple]], colors: Sequence[int]
     """The assignment list of a subgrid coloring whose keys are the product of
     ``axes``, one sorted list of axes per dimension, and its text,
     ``canonical_json(items)``. ``colors`` are the keys' int colors in product
-    order, which is key order. Items and text are those ``coloring_assignment``
-    gives for the same keys and colors as a ``MapColoring``.
+    order, which is key order. The items are those ``coloring_items`` gives
+    for the same keys and colors as a ``MapColoring``.
 
     It works one block at a time, a block being one choice of the first
     axes: each axis is encoded once, and the block's head (``[[A,``) once.
@@ -187,42 +188,20 @@ def product_assignment(axes: Sequence[Sequence[tuple]], colors: Sequence[int]
     return items, "[" + ",".join(fragments) + "]"
 
 
-def _assignment(coloring: MapColoring, g: GridPoset) -> tuple[list, dict, list]:
-    """A coloring's (key, color) pairs sorted by key, the JSON list of each
-    part of a key, and the assignment list in key order.
+def coloring_items(coloring: MapColoring, g: Optional[GridPoset] = None) -> list:
+    """A coloring's assignment list in key order, each key one list per part.
 
-    A key is a tuple of axes or of grid elements. Each distinct one becomes
-    one JSON list, shared by every key that holds it: there are far fewer of
-    them than keys.
+    An axis (subgrid) or a partition part is written as its list, a grid
+    element (comparability, subposet) as its coordinates in ``g``. Each
+    distinct part becomes one JSON list, shared by every key that holds it:
+    there are far fewer of them than keys.
     """
     parts = set(chain.from_iterable(coloring.assignment))
-    if coloring.kind == KIND_SUBGRID:
-        part = {axis: list(axis) for axis in parts}
+    if coloring.kind in (KIND_SUBGRID, KIND_PARTITION):
+        part = {x: list(x) for x in parts}
     else:
         part = {e: list(g.coords(e)) for e in parts}
-    ordered = coloring.items()
-    return ordered, part, [[[part[x] for x in key], color] for key, color in ordered]
-
-
-def coloring_assignment(coloring: MapColoring, g: GridPoset) -> tuple[list, str]:
-    """A coloring's assignment list and its text, ``canonical_json(items)``.
-
-    Each part of a key is encoded once, and the text of each key's parts
-    but the last (``[[A,``) once per distinct prefix, not once per key.
-    Every key has at least one part.
-    """
-    ordered, part, items = _assignment(coloring, g)
-    if not set(map(type, coloring.assignment.values())) <= {int}:
-        return items, canonical_json(items)  # f"{True}" is not JSON's true
-    text = {x: canonical_json(value) for x, value in part.items()}
-    heads: dict = {}
-    fragments = []
-    for key, color in ordered:
-        head = heads.get(key[:-1])
-        if head is None:
-            head = heads[key[:-1]] = "[[" + "".join([text[x] + "," for x in key[:-1]])
-        fragments.append(f"{head}{text[key[-1]]}],{color}]")
-    return items, "[" + ",".join(fragments) + "]"
+    return [[[part[x] for x in key], color] for key, color in coloring.items()]
 
 
 def _coloring_file(kind: str, r: int, g: GridPoset, assignment: list) -> dict:
@@ -231,7 +210,7 @@ def _coloring_file(kind: str, r: int, g: GridPoset, assignment: list) -> dict:
 
 
 def coloring_payload(coloring: MapColoring, g: GridPoset) -> dict:
-    return _coloring_file(coloring.kind, coloring.r, g, _assignment(coloring, g)[2])
+    return _coloring_file(coloring.kind, coloring.r, g, coloring_items(coloring, g))
 
 
 def save_coloring(path: PathLike, coloring: MapColoring, g: GridPoset) -> None:

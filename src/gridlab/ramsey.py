@@ -643,6 +643,19 @@ def _structure_bits(num_keys: int, structures) -> tuple[list, list, list]:
     return holding, masks, counts
 
 
+def _images(perm: list, structures) -> set:
+    """The key masks of the structures' images under ``perm``; a repeated key
+    sets its image's bit once, as in ``_structure_bits``."""
+    bits = [1 << p for p in perm]
+    images = set()
+    for keys in structures:
+        mask = 0
+        for k in keys:
+            mask |= bits[k]
+        images.add(mask)
+    return images
+
+
 class _NodeGuard(GuardExceeded):
     """The search ran past its node guard."""
 
@@ -671,15 +684,15 @@ class _Engine:
     def __init__(self, num_keys: int, structures, r: int,
                  symmetry: Optional[Symmetry] = None):
         self.inputs = num_keys, structures, r, symmetry
-        if symmetry is not None:
-            given = {frozenset(s) for s in structures}
-            for perm in symmetry.generators:
-                if len(perm) != num_keys or \
-                        {frozenset(perm[k] for k in s) for s in given} != given:
-                    raise ContractViolation(f"the structures over {num_keys} keys are not "
-                                            f"invariant under {symmetry.name}")
         empty = not all(structures)  # an empty structure is monochromatic under every coloring
         holding, masks, counts = _structure_bits(num_keys, structures)
+        if symmetry is not None:
+            given = set(masks)
+            for perm in symmetry.generators:
+                if len(perm) != num_keys or min(perm, default=0) < 0 or \
+                        _images(perm, structures) != given:
+                    raise ContractViolation(f"the structures over {num_keys} keys are not "
+                                            f"invariant under {symmetry.name}")
         colors = range(1, r + 1)
         ge = 3 * r + 1  # state[ge + j] is ge[j]
         full = ge + len(counts) - 1  # ge[smax]

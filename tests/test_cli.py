@@ -113,6 +113,40 @@ def test_a_color_count_below_one_is_refused_before_any_size(argv):
     assert (result.exit_code, result.output) == (65, "input error: color count must be positive")
 
 
+# Flags that the kind does not read: each would be recorded in the certificate,
+# and so change its digest, without changing the search.
+_IGNORED_FLAGS = {
+    "m-with-comparability": (["--kind", "comparability", "--t", "1", "--p-chain", "3",
+                              "--m", "7"], "--m"),
+    "l-with-p-chain": (["--kind", "comparability", "--t", "1", "--p-chain", "3",
+                        "--l", "9"], "--l and --p-chain"),
+    "p-chain-with-a-grid-kind": (["--kind", "subgrid", "--t", "2", "--m", "1", "--l", "2",
+                                  "--p-chain", "3"], "--p-chain"),
+}
+
+
+@pytest.mark.parametrize("flags, named", list(_IGNORED_FLAGS.values()), ids=list(_IGNORED_FLAGS))
+@pytest.mark.parametrize("command, size", [("verify", "--n"), ("search", "--n-max")])
+def test_a_flag_the_kind_does_not_read_is_a_usage_error(monkeypatch, flags, named, command,
+                                                        size):
+    for search in ("verify_at", "min_ramsey_n"):
+        monkeypatch.setattr(cli, search, lambda *args, **kwargs: pytest.fail("searched"))
+    result = cli.run(["ramsey", command, *flags, "--r", "2", size, "5"])
+    assert (result.exit_code, result.certificate) == (64, None)
+    assert named in result.output
+
+
+@pytest.mark.parametrize("side, code", [("3", 0), ("0", 65)])
+def test_l_alone_gives_the_comparability_chain_as_p_chain_does(side, code):
+    for command, size in (("verify", "--n"), ("search", "--n-max")):
+        argv = ["ramsey", command, "--kind", "comparability", "--t", "1", "--r", "2", size, "6"]
+        by_l, by_p_chain = cli.run(argv + ["--l", side]), cli.run(argv + ["--p-chain", side])
+        assert (by_l.exit_code, by_l.output) == (by_p_chain.exit_code, by_p_chain.output)
+        assert by_l.exit_code == code
+        if code == 0:
+            assert by_l.certificate["witness"] == by_p_chain.certificate["witness"]
+
+
 @pytest.mark.parametrize("value", ["nan", "-0.5", "-inf", "soon"])
 def test_a_time_limit_that_cannot_fire_is_a_usage_error(value):
     result = cli.run(["ramsey", "verify", "--kind", "subgrid", "--t", "2", "--r", "2",

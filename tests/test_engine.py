@@ -493,6 +493,17 @@ def test_a_vertex_symmetry_the_structures_lack_is_refused(n, structures, vertice
         run_engine(keys, structures, 2, KIND_COMPARABILITY, 1000, 1, vertex_symmetry(vertices))
 
 
+def test_a_symmetry_is_checked_on_the_distinct_keys_of_each_structure():
+    # (0, 0, 1) is the structure {0, 1}, which the swap of keys 0 and 1 fixes.
+    assert search_counterexample(2, [(0, 0, 1)], 2, symmetry=box_symmetry((2,))) == (1, 2)
+    with pytest.raises(ContractViolation, match="not invariant under S_2"):  # {1} -> {0}
+        search_counterexample(2, [(0, 0, 1), (1, 1)], 2, symmetry=box_symmetry((2,)))
+    broken = box_symmetry((2,))
+    broken.generators = [[1, -1]]  # no permutation of the keys; -1 is no bit position
+    with pytest.raises(ContractViolation, match="not invariant under S_2"):
+        search_counterexample(2, [(0, 1)], 2, symmetry=broken)
+
+
 def _box_orbit(a, b, pattern):
     """The images of the cell set ``pattern`` under every permutation of the
     rows and of the columns of the a x b box, as key groups."""

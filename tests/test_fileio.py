@@ -8,11 +8,12 @@ import pytest
 
 from gridlab.booldim import BooleanRealizer
 from gridlab.errors import InvalidInput
+from gridlab.extension import partition_ramsey_search
 from gridlab.fileio import (
     canonical_json,
     certificate_digest,
     certificate_head,
-    coloring_assignment,
+    coloring_items,
     coloring_payload,
     load_boolean_realizer,
     load_certificate,
@@ -30,8 +31,8 @@ from gridlab.fileio import (
 from gridlab.graphs import Graph
 from gridlab.grids import enumerate_subgrids, grid
 from gridlab.poset import Poset, is_isomorphic, make_chain
-from gridlab.ramsey import KIND_COMPARABILITY, KIND_SUBGRID, KIND_SUBPOSET, MapColoring, \
-    comparability_keys, hash_coloring, reduce_subposet_to_subgrid, verify_at
+from gridlab.ramsey import KIND_COMPARABILITY, KIND_PARTITION, KIND_SUBGRID, KIND_SUBPOSET, \
+    MapColoring, comparability_keys, hash_coloring, reduce_subposet_to_subgrid, verify_at
 
 
 def test_poset_round_trip(tmp_path):
@@ -192,11 +193,12 @@ def _grid_coords(e, g):
 
 
 def _reference_assignment(coloring, g):
-    """The coloring file's assignment: lists per axis, coordinates per element."""
+    """The coloring file's assignment: lists per axis or partition part,
+    coordinates per element."""
     out = []
     for key, color in sorted(coloring.assignment.items()):
-        if coloring.kind == KIND_SUBGRID:
-            raw = [list(axis) for axis in key]
+        if coloring.kind in (KIND_SUBGRID, KIND_PARTITION):
+            raw = [list(part) for part in key]
         else:
             raw = [_grid_coords(e, g) for e in key]
         out.append([raw, color])
@@ -270,6 +272,9 @@ _WITNESSES = {
         KIND_COMPARABILITY, comparability_keys(grid(3, 3)), 12, 5), grid(3, 3)),
     "comparability-engine": lambda: _engine_counterexample(KIND_COMPARABILITY, 2, 2, None, 2, 3),
     "subposet-engine": lambda: _engine_counterexample(KIND_SUBPOSET, 2, 2, 2, 3, 5),
+    # The 2-partitions of [5], keyed by their parts; no grid is named.
+    "partition-engine": lambda: (
+        partition_ramsey_search(2, 3, 2, 5).counterexamples()[5], None),
     "one-key": lambda: (MapColoring(KIND_SUBGRID, 11, {((0, 2), (1, 3)): 10}), grid(4, 2)),
     "empty": lambda: (MapColoring(KIND_SUBPOSET, 2, {}), grid(3, 2)),
     # True == 1 as a dict key, but JSON writes it as true.
@@ -279,14 +284,11 @@ _WITNESSES = {
 
 
 @pytest.mark.parametrize("name", list(_WITNESSES))
-def test_coloring_assignment_text_is_the_canonical_json_of_its_items(name):
+def test_coloring_items_match_a_per_key_encoder(name):
     coloring, g = _WITNESSES[name]()
-    items, text = coloring_assignment(coloring, g)
-    assert items == _reference_assignment(coloring, g)
-    assert text == canonical_json(items)
-    cert = make_certificate(["ramsey", "reduce"], {"n": g.k}, "reduced", items, text)
-    assert cert["digest"] == certificate_digest(cert)
-    assert cert == make_certificate(["ramsey", "reduce"], {"n": g.k}, "reduced", items)
+    items, want = coloring_items(coloring, g), _reference_assignment(coloring, g)
+    assert items == want
+    assert canonical_json(items) == canonical_json(want)  # True == 1, but JSON writes true
 
 
 @pytest.mark.parametrize("name", [name for name in _WITNESSES if name.startswith("subgrid-")])
@@ -298,3 +300,6 @@ def test_product_assignment_writes_a_full_product_as_the_per_key_reference(name)
     items, text = product_assignment(axes, [coloring.assignment[key] for key in keys])
     assert items == _reference_assignment(coloring, g)
     assert text == canonical_json(items)
+    cert = make_certificate(["ramsey", "reduce"], {"n": g.k}, "reduced", items, text)
+    assert cert["digest"] == certificate_digest(cert)
+    assert cert == make_certificate(["ramsey", "reduce"], {"n": g.k}, "reduced", items)
