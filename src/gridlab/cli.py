@@ -36,13 +36,14 @@ from .extension import (
 )
 from .graphs import bipartite_edge_decomposition, degeneracy_coloring, \
     find_mono_induced_subgraph, is_bipartite, is_proper_coloring
-from .grids import Subgrid, casual_embeddings, core, grid, unique_realizer_check
+from .grids import Subgrid, casual_embeddings, core, grid, grid_size, unique_realizer_check
 from .poset import LinearExtension, is_isomorphic, linear_extensions
 from .ramsey import (
     KIND_COMPARABILITY,
     KIND_SUBGRID,
     KIND_SUBPOSET,
     NODE_GUARD,
+    check_core_reduction,
     hash_coloring,
     min_ramsey_n,
     reduce_comparability_product,
@@ -311,14 +312,16 @@ def _cmd_grid(args, argv) -> RunResult:
 def _cmd_ramsey(args, argv) -> RunResult:
     from .fileio import coloring_items, load_coloring, product_assignment, save_assignment
     if args.command == "reduce":
-        g = grid(args.n, args.t)
+        # Every refusal comes before the grid is built, which takes seconds at t = 3.
+        grid_size(args.n, args.t)
         r = 2 if args.r is None else args.r
         if args.source == "comparability":
             if args.m != _REDUCE_M:
                 raise _UsageError("--m does not apply to --from comparability")
+            if args.coloring and args.seed:
+                raise _UsageError("--seed does not apply to a --coloring file")
+            g = grid(args.n, args.t)
             if args.coloring:
-                if args.seed:
-                    raise _UsageError("--seed does not apply to a --coloring file")
                 c = load_coloring(args.coloring, g)
                 if args.r is not None and args.r != c.r:
                     raise InvalidInput(f"{args.coloring}: a {c.r}-coloring, not --r {args.r}")
@@ -329,6 +332,8 @@ def _cmd_ramsey(args, argv) -> RunResult:
         else:
             if args.coloring:
                 raise _UsageError("--coloring needs --from comparability")
+            check_core_reduction(args.n, args.t, args.m)
+            g = grid(args.n, args.t)
             c = hash_coloring(KIND_SUBPOSET, r, args.seed)
             axes, colors = reduce_subposet_product(c, g, args.m)
         items, items_text = product_assignment(axes, colors)

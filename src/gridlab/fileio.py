@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from itertools import chain, product
+from operator import getitem
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -152,13 +154,30 @@ def load_graph(path: PathLike) -> Graph:
 # -- grid colorings ---------------------------------------------------------------
 
 
-def _key_from_json(kind: str, raw, g: GridPoset):
-    if kind == KIND_COMPARABILITY:
-        a, b = raw
-        return (g.index(tuple(a)), g.index(tuple(b)))
+def _key_reader(kind: str, g: GridPoset):
+    """The reader of a coloring file's raw keys of ``kind`` against ``g``.
+
+    Coordinates are looked up in one table per call; one the table misses,
+    or an unhashable one, is read by ``g.index``, which refuses it with its
+    message.
+    """
     if kind == KIND_SUBGRID:
-        return tuple(tuple(axis) for axis in raw)
-    return tuple(sorted(g.index(tuple(c)) for c in raw))
+        return lambda raw: tuple(tuple(axis) for axis in raw)
+    # Index order is lexicographic order on coordinates.
+    table = {c: e for e, c in enumerate(product(range(g.k), repeat=g.t))}
+
+    def index(c) -> int:
+        c = tuple(c)
+        try:
+            return table[c]
+        except (KeyError, TypeError):  # TypeError: a list coordinate, say
+            return g.index(c)
+
+    def pair(raw):
+        a, b = raw
+        return (index(a), index(b))
+
+    return pair if kind == KIND_COMPARABILITY else lambda raw: tuple(sorted(map(index, raw)))
 
 
 def product_assignment(axes: Sequence[Sequence[tuple]], colors: Sequence[int]
@@ -166,26 +185,35 @@ def product_assignment(axes: Sequence[Sequence[tuple]], colors: Sequence[int]
     """The assignment list of a subgrid coloring whose keys are the product of
     ``axes``, one sorted list of axes per dimension, and its text,
     ``canonical_json(items)``. ``colors`` are the keys' int colors in product
-    order, which is key order. The items are those ``coloring_items`` gives
-    for the same keys and colors as a ``MapColoring``.
+    order, which is key order, one per key. The items are those
+    ``coloring_items`` gives for the same keys and colors as a ``MapColoring``.
 
     It works one block at a time, a block being one choice of the first
-    axes: each axis is encoded once, and the block's head (``[[A,``) once.
+    axes. Each axis is encoded once, and so is each "last axis, color" tail
+    of a key's text, for each color that occurs. A block's text is its head
+    (``[[A,``) joined to the tails its colors pick.
     """
+    size = math.prod(map(len, axes))
+    if len(colors) != size:
+        raise ContractViolation(f"{len(colors)} colors for the {size} keys of the product")
+    if not size:
+        return [], "[]"
     lists = [[list(axis) for axis in axis_list] for axis_list in axes]
     texts = [[canonical_json(axis) for axis in axis_list] for axis_list in lists]
-    last, last_text = lists[-1], texts[-1]
+    last = lists[-1]
     width = len(last)
+    used = set(colors)
+    tails = [{color: f"{text}],{color}]" for color in used} for text in texts[-1]]
     items: list = []
-    fragments: list = []
+    blocks: list = []
     start = 0
     for prefix, prefix_text in zip(product(*lists[:-1]), product(*texts[:-1])):
         block = colors[start:start + width]
         start += width
         head = "[[" + "".join([text + "," for text in prefix_text])
         items += [[[*prefix, axis], color] for axis, color in zip(last, block)]
-        fragments += [f"{head}{text}],{color}]" for text, color in zip(last_text, block)]
-    return items, "[" + ",".join(fragments) + "]"
+        blocks.append(head + ("," + head).join(map(getitem, tails, block)))
+    return items, "[" + ",".join(blocks) + "]"
 
 
 def coloring_items(coloring: MapColoring, g: Optional[GridPoset] = None) -> list:
@@ -236,10 +264,9 @@ def load_coloring(path: PathLike, g: GridPoset) -> MapColoring:
     r = payload.get("r")
     if type(r) is not int:  # bool is an int subclass, and not a color count
         raise InvalidInput(f"{path}: 'r' must be an integer, got {r!r}")
+    key = _key_reader(kind, g)
     try:
-        assignment = {
-            _key_from_json(kind, raw, g): color
-            for raw, color in payload.get("assignment", ())}
+        assignment = {key(raw): color for raw, color in payload.get("assignment", ())}
     except (ContractViolation, TypeError, ValueError) as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
     for color in assignment.values():

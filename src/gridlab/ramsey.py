@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import merge
-from itertools import combinations, product as iproduct
+from itertools import chain, combinations, product as iproduct, repeat
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -276,6 +276,18 @@ def reduce_comparability_to_subgrid(coloring: Coloring, g: GridPoset) -> MapColo
     return MapColoring(KIND_SUBGRID, coloring.r, dict(zip(iproduct(*axes), colors)))
 
 
+def check_core_reduction(n: int, t: int, m: int) -> None:
+    """Refuse the sizes the core reduction cannot take: it lives in n^2 and
+    needs 1 <= m with m*m <= n. Nothing is built, so a caller can refuse them
+    before it builds the grid."""
+    if t != 2:
+        raise ContractViolation("the core reduction lives in two dimensions")
+    if m < 1:
+        raise ContractViolation(f"the core reduction needs m >= 1, got {m}")
+    if m * m > n:
+        raise ContractViolation(f"the core reduction needs m*m <= n, got m = {m}, n = {n}")
+
+
 def reduce_subposet_product(c1: Coloring, g: GridPoset, m: int) -> tuple[list, list]:
     """The core reduction as ``(axes per dimension, colors in product order)``:
     each (m^2)-side subgrid (a, b) of n^2 takes c1's color at its core.
@@ -283,22 +295,21 @@ def reduce_subposet_product(c1: Coloring, g: GridPoset, m: int) -> tuple[list, l
     The core of (a, b) is the points (a[m*i+j], b[m*j+i]), so its element
     indices are row offsets of a plus column values of b. Rows grow with
     m*i+j and columns stay below n, so the sums come out sorted.
+
+    A row's cores are zipped from one ``map`` per core place over that
+    place's column values, and c1 is handed them lazily, never as a list.
     """
     if c1.kind != KIND_SUBPOSET:
         raise ContractViolation("reduction expects a subposet-copy coloring")
-    if g.t != 2:
-        raise ContractViolation("the core reduction lives in two dimensions")
-    if m < 1:
-        raise ContractViolation(f"the core reduction needs m >= 1, got {m}")
     n = g.k
-    side = m * m
-    if side > n:
-        raise ContractViolation(f"the core reduction needs m*m <= n, got m = {m}, n = {n}")
-    axes = list(combinations(range(n), side))
+    check_core_reduction(n, g.t, m)
+    axes = list(combinations(range(n), m * m))
     places = [(i, j) for i in range(m) for j in range(m)]
     rows = [[a[m * i + j] * n for i, j in places] for a in axes]
-    cols = [[b[m * j + i] for i, j in places] for b in axes]
-    cores = (tuple(map(add, row, col)) for row in rows for col in cols)
+    cols = [[b[m * j + i] for b in axes] for i, j in places]
+    cores = chain.from_iterable(
+        zip(*[map(add, repeat(offset), col) for offset, col in zip(row, cols)])
+        for row in rows)
     return [axes, axes], list(c1.colors(cores))
 
 
@@ -334,8 +345,8 @@ def find_monochromatic_subgrid(n: int, t: int, m: int, l: int, coloring: Colorin
         raise GuardExceeded(f"subgrid scan of {work} cells exceeds guard")
     table = _subsets_within(n, l, m)
     color_of = coloring.color_of
-    for outer in iproduct(table, repeat=t):
-        inner = iproduct(*[table[axis] for axis in outer])
+    for outer, inners in zip(iproduct(table, repeat=t), iproduct(table.values(), repeat=t)):
+        inner = iproduct(*inners)
         color = color_of(next(inner))
         for key in inner:
             if color_of(key) != color:
@@ -975,8 +986,8 @@ def verify_grid_ramsey(kind: str, t: int, r: int, m: int, l: int, n: int, *,
                            reason=f"subgrid structure universe {work} exceeds guard")
         keys = list(iproduct(combinations(range(n), m), repeat=t))
         table = _subsets_within(n, l, m)
-        structures = index_structures(keys, (iproduct(*[table[axis] for axis in outer])
-                                             for outer in iproduct(table, repeat=t)))
+        structures = index_structures(keys, (iproduct(*inners) for inners
+                                             in iproduct(table.values(), repeat=t)))
         # At m = 1 the keys are the cells of n^t in row-major order, and
         # permuting the values on any axis maps the l^t boxes onto themselves;
         # at t = 1, m = 2 they are K_n's edges and the boxes its l-cliques.

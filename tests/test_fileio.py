@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from gridlab.booldim import BooleanRealizer
-from gridlab.errors import InvalidInput
+from gridlab.errors import ContractViolation, InvalidInput
 from gridlab.extension import partition_ramsey_search
 from gridlab.fileio import (
     canonical_json,
@@ -94,6 +94,49 @@ def test_coloring_round_trip(tmp_path):
     assert back.assignment == c.assignment and back.r == 2
     with pytest.raises(InvalidInput):
         load_coloring(path, grid(4, 2))
+
+
+def _coloring_file_with(path, kind, raw_key) -> dict:
+    """A 2-coloring file of 3^2 whose fifth key is ``raw_key``; its payload."""
+    g = grid(3, 2)
+    rng = random.Random(5)
+    save_coloring(path, MapColoring(kind, 2, {key: rng.randint(1, 2)
+                                              for key in comparability_keys(g)}), g)
+    payload = json.loads(path.read_text())
+    payload["assignment"][4][0] = raw_key
+    path.write_text(json.dumps(payload))
+    return payload
+
+
+@pytest.mark.parametrize("kind", [KIND_COMPARABILITY, KIND_SUBPOSET])
+@pytest.mark.parametrize("raw_key, message", [
+    ([[0, 0], [3, 1]], "coordinate 3 outside 0..2"),
+    ([[0, -1], [2, 1]], "coordinate -1 outside 0..2"),
+    ([[0, "a"], [2, 1]], "'<=' not supported between instances of 'int' and 'str'"),
+    ([[0, [1]], [2, 1]], "'<=' not supported between instances of 'int' and 'list'"),
+    ([5, [2, 1]], "'int' object is not iterable"),
+])
+def test_load_coloring_refuses_a_malformed_coordinate_as_grid_index_does(
+        tmp_path, kind, raw_key, message):
+    path = tmp_path / "c.coloring"
+    _coloring_file_with(path, kind, raw_key)
+    with pytest.raises(InvalidInput) as info:
+        load_coloring(path, grid(3, 2))
+    assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("kind", [KIND_COMPARABILITY, KIND_SUBPOSET])
+@pytest.mark.parametrize("raw_key", [[[0, 1], [2, 2]], [[0, 1], [1, 0, 2]], [[1], [2, 2]],
+                                     [{}, [2, 2]]])
+def test_load_coloring_reads_keys_as_grid_index_does(tmp_path, kind, raw_key):
+    # A coordinate list of the wrong length misses the coordinate table and is
+    # read by g.index, as it always was; so is a dict, which reads as ().
+    path, g = tmp_path / "c.coloring", grid(3, 2)
+    want = {}
+    for raw, color in _coloring_file_with(path, kind, raw_key)["assignment"]:
+        a, b = (g.index(tuple(c)) for c in raw)
+        want[(a, b) if kind == KIND_COMPARABILITY else tuple(sorted((a, b)))] = color
+    assert list(load_coloring(path, g).assignment.items()) == list(want.items())
 
 
 def test_subgrid_coloring_round_trip(tmp_path):
@@ -303,3 +346,11 @@ def test_product_assignment_writes_a_full_product_as_the_per_key_reference(name)
     cert = make_certificate(["ramsey", "reduce"], {"n": g.k}, "reduced", items, text)
     assert cert["digest"] == certificate_digest(cert)
     assert cert == make_certificate(["ramsey", "reduce"], {"n": g.k}, "reduced", items)
+
+
+@pytest.mark.parametrize("count", [35, 37])
+def test_product_assignment_refuses_a_color_list_of_the_wrong_length(count):
+    axes = [list(combinations(range(4), 2))] * 2
+    want = f"^{count} colors for the 36 keys of the product$"
+    with pytest.raises(ContractViolation, match=want):
+        product_assignment(axes, [1] * count)

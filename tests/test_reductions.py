@@ -116,6 +116,23 @@ def test_reductions_stop_at_the_same_missing_key():
         reduce_comparability_to_subgrid(partial, g)
 
 
+class _LazyKeysColoring(FunctionColoring):
+    """A coloring whose bulk ``colors`` refuses a materialized key list."""
+
+    def colors(self, keys):
+        assert not isinstance(keys, (list, tuple))
+        return [self.color_of(key) for key in keys]
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (5, 1), (4, 2), (9, 2), (9, 3)])
+def test_subposet_reduction_feeds_its_cores_lazily(n, m):
+    g = grid(n, 2)
+    inner = hash_coloring(KIND_SUBPOSET, 3, n + m)
+    lazy = _LazyKeysColoring(KIND_SUBPOSET, 3, inner.color_of)
+    reduced = reduce_subposet_to_subgrid(lazy, g, m)
+    assert list(reduced.assignment.items()) == list(_reference_subposet(inner, g, m).items())
+
+
 @pytest.mark.parametrize("m", [-1, 0])
 def test_subposet_reduction_rejects_m_below_one(m):
     g = grid(9, 2)
@@ -405,6 +422,32 @@ def test_reduce_cli_rejects_coloring_with_subposet(tmp_path):
     result = cli.run(_REDUCE + ["subposet", "--n", "5", "--coloring",
                                 str(tmp_path / "present.json")])
     assert result.exit_code == 64
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["subposet", "--n", "16", "--t", "3", "--m", "2"], 65,
+     "input error: the core reduction lives in two dimensions"),
+    (["subposet", "--n", "9", "--t", "1", "--m", "2"], 65,
+     "input error: the core reduction lives in two dimensions"),
+    (["subposet", "--n", "9", "--m", "0"], 65,
+     "input error: the core reduction needs m >= 1, got 0"),
+    (["subposet", "--n", "9", "--m", "4"], 65,
+     "input error: the core reduction needs m*m <= n, got m = 4, n = 9"),
+    (["comparability", "--n", "16", "--t", "3", "--m", "7"], 64,
+     "usage error: --m does not apply to --from comparability"),
+    (["comparability", "--n", "16", "--t", "3", "--coloring", "x.json", "--seed", "4"], 64,
+     "usage error: --seed does not apply to a --coloring file"),
+    (["subposet", "--n", "0", "--m", "2", "--coloring", "x.json"], 65,
+     "input error: grid needs k >= 1 and t >= 1"),
+])
+def test_reduce_cli_refuses_before_building_the_grid(monkeypatch, argv, code, message):
+    built = []
+    monkeypatch.setattr(cli, "grid", lambda *args: built.append(args) or grid(*args))
+    result = cli.run(_REDUCE + argv)
+    assert (result.exit_code, result.certificate, result.output) == (code, None, message)
+    assert built == []
+    assert cli.run(_REDUCE + ["subposet", "--n", "4", "--m", "2"]).exit_code == 0
+    assert built == [(4, 2)]
 
 
 _Point = namedtuple("_Point", "x y")
