@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Optional
 
 from .booldim import boolean_dim, is_boolean_realizer, reconstruct_realizer
-from .errors import ContractViolation
+from .errors import ContractViolation, Record
 from .extension import (
     Partition,
     all_good_check,
@@ -68,13 +67,16 @@ from .ramsey import (
 DEFAULT_SEED = 20260810
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(Record, frozen=False):
     number: int
     name: str
     passed: bool
-    details: list[str] = field(default_factory=list)
+    details: list[str]  # a fresh list by default
     seconds: float = 0.0
+
+    def __init__(self, number: int, name: str, passed: bool,
+                 details: Optional[list[str]] = None, seconds: float = 0.0):
+        Record.__init__(self, number, name, passed, [] if details is None else details, seconds)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -10,11 +10,10 @@ elsewhere, so consistency of the derived set decides a candidate tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Optional, Sequence
 
-from .errors import ContractViolation, GuardExceeded
+from .errors import ContractViolation, GuardExceeded, Record
 from .poset import (
     LinearExtension,
     Poset,
@@ -53,8 +52,7 @@ def signature(x: int, y: int, orders: Sequence) -> str:
     return "".join(bits)
 
 
-@dataclass(frozen=True)
-class BooleanRealizer:
+class BooleanRealizer(Record):
     """d permutations of the ground set plus the accepted signature set."""
 
     orders: tuple[tuple[int, ...], ...]
@@ -147,8 +145,7 @@ def _orbit_minimal(perm: tuple[int, ...], auts) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class BooleanDimResult:
+class BooleanDimResult(Record):
     dim: Optional[int]
     realizer: Optional[BooleanRealizer]
     d_max: int

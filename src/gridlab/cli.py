@@ -17,7 +17,6 @@ import argparse
 import os
 import sys
 import traceback
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .booldim import boolean_dim, is_boolean_realizer
@@ -27,6 +26,7 @@ from .errors import (
     GridlabError,
     GuardExceeded,
     InvalidInput,
+    Record,
 )
 from .extension import (
     Partition,
@@ -73,8 +73,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class RunResult:
+class RunResult(Record, frozen=False):
     exit_code: int
     output: str = ""
     certificate: Optional[dict] = None

@@ -11,10 +11,9 @@ heights come from one shared extension plus a realizer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import ContractViolation
+from .errors import ContractViolation, Record
 from .grids import GridPoset, Subgrid, enumerate_subgrids, grid
 from .poset import (
     LinearExtension,
@@ -41,24 +40,25 @@ PARTITION_KEY_GUARD = 200_000
 # -- partitions -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Ordered parts (disjoint, nonempty, exact cover of 0..ground-1)."""
 
     parts: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, parts: tuple[tuple[int, ...], ...]):
         seen: set[int] = set()
-        for part in self.parts:
+        for part in parts:
             if not part:
                 raise ContractViolation("partition parts must be nonempty")
-            if tuple(sorted(set(part))) != part:
+            members = set(part)
+            if tuple(sorted(members)) != part:
                 raise ContractViolation("parts must be sorted and duplicate-free")
-            if seen & set(part):
+            if not seen.isdisjoint(members):
                 raise ContractViolation("parts must be disjoint")
-            seen |= set(part)
+            seen |= members
         if seen != set(range(len(seen))):
             raise ContractViolation("parts must cover 0..ground-1 exactly")
+        object.__setattr__(self, "parts", parts)
 
     @classmethod
     def of(cls, parts: Iterable[Iterable[int]]) -> "Partition":
@@ -142,19 +142,19 @@ def coarsenings(pi: Partition, s: int) -> Iterator[Partition]:
 # -- antipodal pairs ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AntipodalPair:
+class AntipodalPair(Record):
     """Two complementary non-constant bit strings; ``low`` starts with '0'."""
 
     low: str
 
-    def __post_init__(self):
-        if set(self.low) - {"0", "1"} or not self.low:
+    def __init__(self, low: str):
+        if set(low) - {"0", "1"} or not low:
             raise ContractViolation("antipodal strings are nonempty over {0,1}")
-        if self.low[0] != "0":
+        if low[0] != "0":
             raise ContractViolation("the representative string starts with 0")
-        if set(self.low) == {"0"}:
+        if set(low) == {"0"}:
             raise ContractViolation("the constant pair is not antipodal")
+        object.__setattr__(self, "low", low)
 
     @property
     def high(self) -> str:
@@ -239,8 +239,7 @@ def collect_uniform_pair_colors(g: GridPoset, exts: Sequence[LinearExtension]
 # -- the all-good argument ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlternatingCycleCertificate:
+class AlternatingCycleCertificate(Record):
     """Names the parts and points that contradict a bad digit."""
 
     digit: int
@@ -256,8 +255,7 @@ class AlternatingCycleCertificate:
         return grid(2, len(self.string_b))
 
 
-@dataclass(frozen=True)
-class AllGoodResult:
+class AllGoodResult(Record):
     verdict: bool
     color: str
     certificate: Optional[AlternatingCycleCertificate]
@@ -323,8 +321,7 @@ def all_good_check(psi: Partition, pair_colors: Mapping[Partition, str]
 # -- conforming embeddings -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConformingEmbedding:
+class ConformingEmbedding(Record):
     """x maps to (chi_1(x), .., chi_t(x)); chi_j is the 1-based height of x in
     the extension attached to the part containing axis j."""
 
@@ -437,8 +434,7 @@ def partition_ramsey_search(s: int, t: int, r: int, k_max: int,
 # -- the two-extension counterexample demo ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class NonuniformDemoReport:
+class NonuniformDemoReport(Record):
     conflict_pair: tuple[int, int]
     embeddings_checked: int
 

@@ -9,10 +9,9 @@ everything here only needs bounded degeneracy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import ContractViolation
+from .errors import ContractViolation, Record
 from .poset import induced_embeddings, iter_bits as _bits
 
 INDUCED_SEARCH_GUARD = 20_000_000
@@ -98,15 +97,15 @@ def is_proper_coloring(g: Graph, colors: Sequence[int]) -> bool:
     return all(colors[u] != colors[v] for u, v in g.edges())
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(Record):
     """Edges keyed to colors; classes recoverable as subgraphs."""
 
     n: int
     colors: tuple[tuple[tuple[int, int], int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", dict(self.colors))
+    def __init__(self, n: int, colors: tuple[tuple[tuple[int, int], int], ...]):
+        Record.__init__(self, n, colors)
+        object.__setattr__(self, "_index", dict(colors))
 
     def color_of(self, u: int, v: int) -> int:
         try:

@@ -8,11 +8,11 @@ order on coordinate tuples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import combinations, product as iproduct
+from itertools import accumulate, combinations, product as iproduct
+from operator import or_
 from typing import Iterator, Sequence
 
-from .errors import ContractViolation, DomainError, GuardExceeded
+from .errors import ContractViolation, DomainError, GuardExceeded, Record
 from .poset import (
     LinearExtension,
     Poset,
@@ -27,12 +27,24 @@ CASUAL_TUPLE_GUARD = 2_000_000
 
 
 class GridPoset(Poset):
-    """The product of the k-element chain with itself t times."""
+    """The product of the k-element chain with itself t times.
+
+    Built by ``grid``, whose rows are a strict order by construction, so the
+    rows are stored as given: ``Poset``'s check of every comparable pair is
+    skipped, and ``inc`` is derived from ``up`` and ``dn``.
+    """
 
     __slots__ = ("k", "t")
 
-    def __init__(self, k: int, t: int, up: Sequence[int]):
-        super().__init__(up)
+    def __init__(self, k: int, t: int, up: Sequence[int], dn: Sequence[int]):
+        n = len(up)
+        full = (1 << n) - 1
+        self.n = n
+        self.up = tuple(up)
+        self.dn = tuple(dn)
+        self.labels = None
+        self.inc = tuple(full & ~(u | d | (1 << i))
+                         for i, (u, d) in enumerate(zip(self.up, self.dn)))
         self.k = k
         self.t = t
 
@@ -71,44 +83,39 @@ def grid_size(k: int, t: int, guard_elements: int = GRID_ELEMENT_GUARD) -> int:
 def grid(k: int, t: int, guard_elements: int = GRID_ELEMENT_GUARD) -> GridPoset:
     """The k^t grid with componentwise order and projection accessors."""
     n = grid_size(k, t, guard_elements)
-    # ge[a][v] = bitmask of elements whose a-th coordinate is >= v
-    ge = [[0] * k for _ in range(t)]
-    coords = [0] * t
-    for idx in range(n):
-        rem = idx
-        for a in range(t - 1, -1, -1):
-            rem, coords[a] = divmod(rem, k)
-        for a in range(t):
-            ge[a][coords[a]] |= 1 << idx
+    # The closed up- and downsets, intersected axis by axis in index order.
+    # On axis a, the elements with coordinate v form runs of k^(t-1-a)
+    # indices, one run in every k^(t-a), so the mask of each value is one
+    # run times ``repeat``, whose bits start those periods; ge and le are
+    # the masks of the coordinates >= v and <= v.
+    up, dn = [-1], [-1]
     for a in range(t):
-        for v in range(k - 2, -1, -1):
-            ge[a][v] |= ge[a][v + 1]
-    up = []
-    for idx in range(n):
-        rem = idx
-        row = -1
-        for a in range(t - 1, -1, -1):
-            rem, c = divmod(rem, k)
-            row &= ge[a][c]
-        up.append(row & ~(1 << idx))
-    return GridPoset(k, t, up)
+        run = k ** (t - 1 - a)
+        repeat = ((1 << n) - 1) // ((1 << (run * k)) - 1)
+        at = [(((1 << run) - 1) << (v * run)) * repeat for v in range(k)]
+        ge = list(accumulate(reversed(at), or_))[::-1]
+        le = list(accumulate(at, or_))
+        up = [row & mask for row in up for mask in ge]
+        dn = [row & mask for row in dn for mask in le]
+    return GridPoset(k, t, [row ^ (1 << i) for i, row in enumerate(up)],
+                     [row ^ (1 << i) for i, row in enumerate(dn)])
 
 
 # -- subgrids -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subgrid:
+class Subgrid(Record):
     """Coordinate sets S_1..S_t; induces an |S_1| x ... x |S_t| grid."""
 
     axes: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        for s in self.axes:
+    def __init__(self, axes: tuple[tuple[int, ...], ...]):
+        for s in axes:
             if not s:
                 raise ContractViolation("subgrid axis sets must be nonempty")
             if tuple(sorted(set(s))) != s:
                 raise ContractViolation("subgrid axis sets must be sorted and duplicate-free")
+        object.__setattr__(self, "axes", axes)
 
     @classmethod
     def of(cls, *axes: Sequence[int]) -> "Subgrid":
@@ -178,8 +185,7 @@ def colex_order(s: int) -> LinearExtension:
 # -- casual embeddings -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CasualEmbedding:
+class CasualEmbedding(Record):
     """An order-embedding of s^t into (s^t)^t with no coordinate ties.
 
     ``images[x]`` is the coordinate tuple of the image of source element x;
@@ -190,7 +196,8 @@ class CasualEmbedding:
     t: int
     images: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+    def __init__(self, s: int, t: int, images: tuple[tuple[int, ...], ...]):
+        Record.__init__(self, s, t, images)
         self.validate()
 
     @property
@@ -294,8 +301,7 @@ def obstruction_sets(s: int) -> tuple[tuple, tuple]:
     return i1, i2
 
 
-@dataclass(frozen=True)
-class UniqueRealizerReport:
+class UniqueRealizerReport(Record):
     s: int
     extension_count: int
     pairs_checked: int

@@ -2,18 +2,19 @@
 
 Elements are the integers 0..n-1. Row ``up[i]`` is a Python-int bitmask of
 every j with i < j, so comparability tests and intersections of relations
-are single big-int operations. Irreflexivity, antisymmetry and transitivity
-are validated on construction; every ``Poset`` instance is a genuine strict
-order. Instances are immutable and safe for concurrent reads.
+are single big-int operations. ``Poset(up)`` validates irreflexivity,
+antisymmetry and transitivity, so every instance is a genuine strict order;
+the one exception to the check is ``grids.grid``, whose ``GridPoset`` rows
+are strict orders by construction and are stored as built. Instances are
+immutable and safe for concurrent reads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
-from .errors import ContractViolation, GuardExceeded
+from .errors import ContractViolation, GuardExceeded, Record
 
 EXTENSION_CAP = 12
 ISO_CAP = 16
@@ -170,19 +171,19 @@ def product(p: Poset, q: Poset) -> Poset:
 # -- linear extensions --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearExtension:
+class LinearExtension(Record):
     """A total order of 0..n-1; position = size of the closed downset - 1."""
 
     order: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.order)
+    def __init__(self, order: tuple[int, ...]):
+        n = len(order)
         pos = [-1] * n
-        for p, x in enumerate(self.order):
+        for p, x in enumerate(order):
             if not 0 <= x < n or pos[x] != -1:
                 raise ContractViolation("order is not a permutation")
             pos[x] = p
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "_pos", tuple(pos))
 
     def index(self, x: int) -> int:
@@ -280,8 +281,7 @@ def count_linear_extensions(p: Poset) -> int:
 # -- realizers ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Realizer:
+class Realizer(Record):
     """A tuple of linear extensions whose intersection is the poset."""
 
     extensions: tuple[LinearExtension, ...]

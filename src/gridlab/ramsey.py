@@ -27,14 +27,13 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import merge
 from itertools import chain, combinations, product as iproduct, repeat
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import ChainStepFailure, ContractViolation, GuardExceeded
+from .errors import ChainStepFailure, ContractViolation, GuardExceeded, Record
 from .grids import GridPoset, Subgrid, grid, grid_size
 from .poset import (
     LinearExtension,
@@ -236,8 +235,7 @@ def subposet_copy_key(elements: Iterable[int]) -> tuple[int, ...]:
 # -- monochromatic witnesses -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonoWitness:
+class MonoWitness(Record):
     """A substructure all of whose keys carry one color."""
 
     kind: str
@@ -906,8 +904,7 @@ def _parallel_counterexample(num_keys: int, structures, r: int,
 # -- verify / minimal-n -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Tri-state outcome of a Ramsey verification."""
 
     status: str  # "true" | "false" | "inconclusive"
@@ -1033,13 +1030,18 @@ def verify_at(kind: str, t: int, r: int, m: int, l: int, n: int, **guards) -> Ve
     return verify_grid_ramsey(kind, t, r, m, l, n, **guards)
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(Record):
     """The smallest size whose verdict is true, and every verdict up to it."""
 
     found: Optional[int]
     status: str  # "found" | "not-found" | "inconclusive"
-    verdicts: dict = field(hash=False, default_factory=dict)
+    verdicts: dict  # every verdict scanned; a fresh dict by default, not hashed
+
+    def __init__(self, found: Optional[int], status: str, verdicts: Optional[dict] = None):
+        Record.__init__(self, found, status, {} if verdicts is None else verdicts)
+
+    def __hash__(self):
+        return hash((self.found, self.status))
 
     def counterexamples(self) -> dict:
         return {n: v.counterexample for n, v in self.verdicts.items()
@@ -1074,16 +1076,14 @@ def min_ramsey_n(t: int, r: int, m: int, l: int, kind: str, n_max: int,
 # -- multicolor bootstrap (two colors suffice) ----------------------------------------
 
 
-@dataclass(frozen=True)
-class BootstrapStep:
+class BootstrapStep(Record):
     """One 2-color step: every 2-coloring of ``witness`` yields a mono ``base``."""
 
     base: Poset
     witness: Poset
 
 
-@dataclass(frozen=True)
-class BootstrapResult:
+class BootstrapResult(Record):
     witness: MonoWitness
     levels: int
 
@@ -1156,8 +1156,7 @@ def multicolor_bootstrap(steps: Sequence[BootstrapStep], coloring: Coloring,
 # -- Boolean-lattice embedding ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BooleanLatticeEmbedding:
+class BooleanLatticeEmbedding(Record):
     """x maps to the characteristic vector of its closed downset in 2^d, d = |P|."""
 
     dimension: int
@@ -1230,8 +1229,7 @@ def product_trace_type() -> tuple:
     return _trace_type(_cube(), range(8))[0]
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(Record):
     n: int
     copies_scanned: int
     census: tuple[tuple[tuple, int], ...]

@@ -22,6 +22,7 @@ from gridlab.grids import (
     unique_realizer_check,
 )
 from gridlab.poset import (
+    Poset,
     induced_subposet,
     is_alternating_cycle,
     is_isomorphic,
@@ -43,6 +44,16 @@ def test_grid_basic_shapes():
 def test_grid_matches_chain_product():
     assert grid(3, 2) == product(make_chain(3), make_chain(3))
     assert grid(2, 3) == product(make_chain(2), product(make_chain(2), make_chain(2)))
+
+
+def test_grid_rows_match_the_validated_poset():
+    # grid() stores its rows without Poset's pair-by-pair check.
+    for k in range(1, 7):
+        for t in range(1, 4):
+            g = grid(k, t)
+            checked = Poset(g.up)
+            assert (g.n, g.up, g.dn, g.inc) == (checked.n, checked.up, checked.dn, checked.inc)
+            assert g.labels is None and (g.k, g.t) == (k, t)
 
 
 def test_grid_guard_and_rejects():
