@@ -22,6 +22,7 @@ from .poset import (
     is_alternating_cycle,
     is_linear_extension,
     is_realizer,
+    order_embedding_violation,
 )
 from .ramsey import (
     KIND_PARTITION,
@@ -385,13 +386,8 @@ def build_conforming_embedding(x: Poset, m: LinearExtension, k: int, psi: Partit
         if not all(1 <= h <= x.n for h in chi):
             raise ContractViolation("heights left the 1..|x| range")
         heights.append(chi)
-    for a in range(x.n):
-        for b in range(x.n):
-            if a == b:
-                continue
-            below = all(p <= q for p, q in zip(heights[a], heights[b]))
-            if below != x.lt(a, b):
-                raise ContractViolation("height map is not an order-embedding")
+    if order_embedding_violation(x, heights) is not None:
+        raise ContractViolation("height map is not an order-embedding")
     for a in range(x.n):
         for b in range(x.n):
             if a == b or not m.before(a, b):

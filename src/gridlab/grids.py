@@ -20,6 +20,8 @@ from .poset import (
     induced_subposet,
     is_realizer,
     linear_extensions,
+    order_embedding_violation,
+    realizer_tuples,
 )
 
 GRID_ELEMENT_GUARD = 4096
@@ -211,20 +213,17 @@ class CasualEmbedding(Record):
         n = self.s ** self.t
         if len(self.images) != n:
             raise ContractViolation("casual embedding must map every source element")
-        source = grid(self.s, self.t)
+        if any(len(img) != self.t for img in self.images):
+            raise ContractViolation(
+                f"each image must have t = {self.t} coordinates")
         for axis in range(self.t):
             seen = sorted(img[axis] for img in self.images)
             if seen != list(range(n)):
                 raise ContractViolation(
                     f"axis {axis} coordinates are not a bijection onto 0..{n - 1}")
-        for x in range(n):
-            for y in range(n):
-                if x == y:
-                    continue
-                below = all(a <= b for a, b in zip(self.images[x], self.images[y]))
-                if source.lt(x, y) != below:
-                    raise ContractViolation(
-                        f"order-embedding property fails on source pair ({x}, {y})")
+        bad = order_embedding_violation(grid(self.s, self.t), self.images)
+        if bad is not None:
+            raise ContractViolation(f"order-embedding property fails on source pair {bad}")
 
 
 def casual_embeddings(s: int, t: int,
@@ -243,20 +242,9 @@ def casual_embeddings(s: int, t: int,
     if len(exts) ** t > guard_tuples:
         raise GuardExceeded(
             f"{len(exts)}^{t} extension tuples exceed guard {guard_tuples}")
-    above = [e.above_masks() for e in exts]
-    n = source.n
-    out = []
-    for combo in iproduct(range(len(exts)), repeat=t):
-        inter = list(above[combo[0]])
-        for idx in combo[1:]:
-            rows = above[idx]
-            inter = [a & b for a, b in zip(inter, rows)]
-        if tuple(inter) != source.up:
-            continue
-        images = tuple(
-            tuple(exts[idx].index(x) for idx in combo) for x in range(n))
-        out.append(CasualEmbedding(s, t, images))
-    return out
+    return [CasualEmbedding(s, t, tuple(tuple(exts[i].index(x) for i in combo)
+                                        for x in range(source.n)))
+            for combo in realizer_tuples(source, t, exts)]
 
 
 # -- cores ---------------------------------------------------------------------
@@ -316,7 +304,7 @@ class UniqueRealizerReport(Record):
 def unique_realizer_check(s: int) -> UniqueRealizerReport:
     """Enumerate extension pairs of s^2 and certify the two-extension realizer.
 
-    For s <= 3 every unordered pair is tested directly; for s = 4 each
+    For s <= 3 every unordered pair is tested by ``realizer_tuples``; for s = 4 each
     extension's unique candidate partner (reverse every incomparable pair)
     is constructed and validated, which checks all pairs implicitly. Both
     routes are cross-checked where both run.
@@ -333,11 +321,7 @@ def unique_realizer_check(s: int) -> UniqueRealizerReport:
     forced = _forced_partner_pairs(g, exts)
     pairs_checked = len(exts) * (len(exts) - 1) // 2
     if len(exts) <= 50:
-        direct = []
-        for i in range(len(exts)):
-            for j in range(i + 1, len(exts)):
-                if is_realizer(g, [exts[i], exts[j]]):
-                    direct.append((exts[i], exts[j]))
+        direct = [(exts[i], exts[j]) for i, j in realizer_tuples(g, 2, exts) if i < j]
         if sorted(tuple(sorted((a.order, b.order))) for a, b in direct) != \
                 sorted(tuple(sorted((a.order, b.order))) for a, b in forced):
             raise ContractViolation("pair scan and forced-partner scan disagree")
@@ -373,11 +357,7 @@ def _forced_partner_pairs(g: Poset, exts: Sequence[LinearExtension]):
     out = []
     for e in exts:
         above = e.above_masks()
-        ranks = []
-        ok = True
-        for x in range(n):
-            rank = (g.dn[x] | (g.inc[x] & above[x])).bit_count()
-            ranks.append(rank)
+        ranks = [(g.dn[x] | (g.inc[x] & above[x])).bit_count() for x in range(n)]
         if sorted(ranks) != list(range(n)):
             continue
         order = tuple(x for _, x in sorted((r, x) for x, r in enumerate(ranks)))

@@ -12,6 +12,8 @@ immutable and safe for concurrent reads.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from operator import and_, le
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 from .errors import ContractViolation, GuardExceeded, Record
@@ -301,14 +303,46 @@ def is_realizer(p: Poset, extensions: Sequence[LinearExtension]) -> bool:
     for ext in extensions:
         if not is_linear_extension(p, ext):
             raise ContractViolation("supplied order is not a linear extension of the poset")
-    inter = None
-    for ext in extensions:
-        above = ext.above_masks()
-        if inter is None:
-            inter = list(above)
-        else:
-            inter = [a & b for a, b in zip(inter, above)]
-    return tuple(inter) == p.up
+    return tuple(reduce(and_, rows)
+                 for rows in zip(*(ext.above_masks() for ext in extensions))) == p.up
+
+
+def realizer_tuples(p: Poset, t: int, exts: Sequence[LinearExtension]
+                    ) -> Iterator[tuple[int, ...]]:
+    """The index t-tuples of ``exts``, in product order, whose orders intersect
+    to ``p`` (Dushnik and Miller, 1941), each prefix's meet of ``above_masks``
+    taken once; read as coordinates, each is an order-embedding into a grid."""
+    if t < 1:
+        raise ContractViolation("a realizer needs at least one extension")
+    for ext in exts:
+        if not is_linear_extension(p, ext):
+            raise ContractViolation("supplied order is not a linear extension of the poset")
+    above = [ext.above_masks() for ext in exts]
+
+    def extend(prefix: tuple[int, ...], meet: tuple[int, ...],
+               left: int) -> Iterator[tuple[int, ...]]:
+        for i, rows in enumerate(above):
+            rows = tuple(map(and_, meet, rows))
+            if left > 1:
+                yield from extend(prefix + (i,), rows, left - 1)
+            elif rows == p.up:
+                yield prefix + (i,)
+
+    return extend((), (-1,) * p.n, t)
+
+
+def order_embedding_violation(p: Poset, coords: Sequence[Sequence[int]]
+                              ) -> Optional[tuple[int, int]]:
+    """The first pair x != y, in row order, whose coordinates compare
+    componentwise <= other than as x < y in ``p``; None when ``coords``
+    order-embeds p."""
+    if len(coords) != p.n:
+        raise ContractViolation("an order-embedding needs one coordinate tuple per element")
+    for x, cx in enumerate(coords):
+        for y, cy in enumerate(coords):
+            if x != y and all(map(le, cx, cy)) != p.lt(x, y):
+                return x, y
+    return None
 
 
 def find_realizer(p: Poset, size: int,

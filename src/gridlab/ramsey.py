@@ -29,12 +29,12 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import lru_cache
 from heapq import merge
-from itertools import chain, combinations, product as iproduct, repeat
+from itertools import chain, combinations, islice, product as iproduct, repeat
 from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ChainStepFailure, ContractViolation, GuardExceeded, Record
-from .grids import GridPoset, Subgrid, grid, grid_size
+from .grids import GridPoset, Subgrid, grid
 from .poset import (
     LinearExtension,
     Poset,
@@ -46,6 +46,8 @@ from .poset import (
     linear_extensions,
     orbit_checks,
     order_checks,
+    order_embedding_violation,
+    realizer_tuples,
 )
 
 KIND_COMPARABILITY = "comparability"
@@ -1172,13 +1174,8 @@ def boolean_lattice_embed(p: Poset) -> BooleanLatticeEmbedding:
     for x in range(d):
         closed = p.dn[x] | (1 << x)
         vectors.append(tuple((closed >> j) & 1 for j in range(d)))
-    for x in range(d):
-        for y in range(d):
-            if x == y:
-                continue
-            below = all(a <= b for a, b in zip(vectors[x], vectors[y]))
-            if below != p.le(x, y):
-                raise ContractViolation("downset embedding failed validation")
+    if order_embedding_violation(p, vectors) is not None:
+        raise ContractViolation("downset embedding failed validation")
     return BooleanLatticeEmbedding(d, tuple(vectors))
 
 
@@ -1325,7 +1322,8 @@ def embed_cube_by_extensions(n: int, exts: Sequence[LinearExtension]) -> tuple[i
     """Separated 2^3 copy of n^3 built from a realizer triple's positions.
 
     Axis i of the image of x is the position of x in exts[i], which needs
-    n >= 8. The images are indexed in n^3 as ``GridPoset.index`` does.
+    n >= 8. The images are the indices in ``grid(n, 3)``, which refuses n as
+    it refuses that grid.
     """
     cube = _cube()
     if len(exts) != 3:
@@ -1333,32 +1331,16 @@ def embed_cube_by_extensions(n: int, exts: Sequence[LinearExtension]) -> tuple[i
     for ext in exts:
         if not is_linear_extension(cube, ext):
             raise ContractViolation("order is not a linear extension of the cube")
-    grid_size(n, 3)
-    images = []
-    for x in range(8):
-        idx = 0
-        for ext in exts:
-            c = ext.index(x)
-            if c >= n:
-                raise ContractViolation(f"coordinate {c} outside 0..{n - 1}")
-            idx = idx * n + c
-        images.append(idx)
-    return tuple(images)
+    g3 = grid(n, 3)
+    return tuple(g3.index(tuple(ext.index(x) for ext in exts)) for x in range(8))
 
 
 def cube_realizer_triples(limit: Optional[int] = None) -> list[tuple[LinearExtension, ...]]:
-    """Ordered extension triples of 2^3 whose set is a realizer."""
+    """Ordered extension triples of 2^3 whose set is a realizer, the first
+    ``limit`` of them in product order (all when None)."""
+    if limit is not None and limit < 0:
+        raise ContractViolation(f"limit must be non-negative, got {limit}")
     cube = _cube()
     exts = linear_extensions(cube, cap=8)
-    above = [e.above_masks() for e in exts]
-    out = []
-    for i in range(len(exts)):
-        for j in range(len(exts)):
-            rows_ij = [a & b for a, b in zip(above[i], above[j])]
-            for k in range(len(exts)):
-                inter = tuple(a & b for a, b in zip(rows_ij, above[k]))
-                if inter == cube.up:
-                    out.append((exts[i], exts[j], exts[k]))
-                    if limit is not None and len(out) >= limit:
-                        return out
-    return out
+    return [tuple(exts[i] for i in combo)
+            for combo in islice(realizer_tuples(cube, 3, exts), limit)]

@@ -165,6 +165,15 @@ def test_casual_embedding_validation_rejects_ties():
         CasualEmbedding(2, 2, ((0, 0), (1, 2), (1, 1), (3, 3)))
 
 
+@pytest.mark.parametrize("images", [
+    ((0,), (1,), (2,), (3,)),
+    ((0, 0, 9), (1, 2, 9), (2, 1, 9), (3, 3, 9)),
+])
+def test_casual_embedding_validation_rejects_wrong_coordinate_counts(images):
+    with pytest.raises(ContractViolation, match=r"^each image must have t = 2 coordinates$"):
+        CasualEmbedding(2, 2, images)
+
+
 def test_core_of_4x4():
     sub = Subgrid.full(4, 2)
     assert core(sub) == {(0, 0), (1, 2), (2, 1), (3, 3)}

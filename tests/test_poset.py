@@ -6,6 +6,7 @@ import random
 import pytest
 
 from gridlab.errors import ContractViolation, GuardExceeded
+from gridlab.grids import grid
 from gridlab.poset import (
     LinearExtension,
     Poset,
@@ -21,7 +22,9 @@ from gridlab.poset import (
     linear_extensions,
     make_antichain,
     make_chain,
+    order_embedding_violation,
     product,
+    realizer_tuples,
 )
 
 
@@ -243,3 +246,82 @@ def test_induced_subposet_keeps_labels():
     p = Poset.from_covers(3, [(0, 1), (1, 2)], labels=["x", "y", "z"])
     sub = induced_subposet(p, [0, 2])
     assert sub.labels == ("x", "z")
+
+
+def _random_labeled_poset(rng, n):
+    perm = rng.sample(range(n), n)
+    covers = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)
+              if rng.random() < 0.4]
+    return Poset.from_covers(n, covers)
+
+
+def _brute_realizer_tuples(p, t, exts):
+    return [c for c in itertools.product(range(len(exts)), repeat=t)
+            if is_realizer(p, [exts[i] for i in c])]
+
+
+def _first_violation_by_pairs(p, coords):
+    for x in range(p.n):
+        for y in range(p.n):
+            if x == y:
+                continue
+            below = all(a <= b for a, b in zip(coords[x], coords[y]))
+            if below != p.lt(x, y):
+                return (x, y)
+    return None
+
+
+_REALIZER_CASES = [(grid(2, 2), 2), (grid(2, 2), 3), (grid(3, 2), 2),
+                   (make_chain(3), 2), (make_antichain(3), 2)]
+
+
+@pytest.mark.parametrize("p, t", _REALIZER_CASES)
+def test_realizer_tuples_match_a_brute_force_filter(p, t):
+    exts = linear_extensions(p)
+    got = list(realizer_tuples(p, t, exts))
+    assert got == _brute_realizer_tuples(p, t, exts)
+    assert got  # every case here has dimension <= t
+
+
+def test_realizer_tuples_match_brute_force_on_random_posets():
+    rng = random.Random(25)
+    for _ in range(20):
+        p = _random_labeled_poset(rng, rng.randint(1, 6))
+        exts = linear_extensions(p)
+        assert list(realizer_tuples(p, 2, exts)) == _brute_realizer_tuples(p, 2, exts)
+
+
+def test_realizer_tuples_keep_the_realizer_contract():
+    g = grid(2, 2)
+    exts = linear_extensions(g)
+    with pytest.raises(ContractViolation, match="at least one extension"):
+        realizer_tuples(g, 0, exts)
+    with pytest.raises(ContractViolation, match="not a linear extension"):
+        realizer_tuples(g, 2, exts + [exts[0].dual()])
+    assert list(realizer_tuples(g, 2, [])) == []
+
+
+@pytest.mark.parametrize("p, t", _REALIZER_CASES)
+def test_extension_positions_embed_exactly_the_realizers(p, t):
+    exts = linear_extensions(p)
+    realizers = set(realizer_tuples(p, t, exts))
+    for combo in itertools.product(range(len(exts)), repeat=t):
+        coords = [tuple(exts[i].index(x) for i in combo) for x in range(p.n)]
+        got = order_embedding_violation(p, coords)
+        assert got == _first_violation_by_pairs(p, coords)
+        assert (got is None) == (combo in realizers)
+
+
+def test_order_embedding_violation_matches_a_pair_scan_on_random_maps():
+    rng = random.Random(26)
+    outcomes = set()
+    for _ in range(200):
+        p = _random_labeled_poset(rng, rng.randint(1, 6))
+        t, side = rng.randint(1, 3), rng.randint(1, 4)
+        coords = [tuple(rng.randrange(side) for _ in range(t)) for _ in range(p.n)]
+        got = order_embedding_violation(p, coords)
+        assert got == _first_violation_by_pairs(p, coords)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+    with pytest.raises(ContractViolation, match="one coordinate tuple per element"):
+        order_embedding_violation(make_chain(3), [(0,), (1,)])

@@ -608,6 +608,15 @@ def test_cube_embedding_refuses_as_the_grid_does(n, error, message):
         embed_cube_by_extensions(n, (tri[0], tri[1], tri[2].dual()))
 
 
+def test_cube_realizer_triples_limit():
+    triples = cube_realizer_triples()
+    assert cube_realizer_triples(limit=0) == []
+    assert cube_realizer_triples(limit=5) == triples[:5]
+    assert cube_realizer_triples(limit=1000) == triples
+    with pytest.raises(ContractViolation, match="^limit must be non-negative, got -1$"):
+        cube_realizer_triples(limit=-1)
+
+
 def test_probe_axis_swap_same_type():
     g8 = grid(8, 3)
     tri = cube_realizer_triples()[0]
