@@ -97,6 +97,16 @@ def _seconds(text: str) -> float:
     raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text!r}")
 
 
+def _guard(text: str) -> int:
+    """A ``--guard`` or ``--guard-elements`` value: a non-negative integer."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _env_workers() -> str:
     return os.environ.get("GRIDLAB_WORKERS", "1")
 
@@ -147,7 +157,7 @@ def _build_parser() -> _Parser:
         cmd.add_argument("--l", type=int)
         cmd.add_argument("--p-chain", type=int, dest="p_chain",
                          help="pattern chain side for the comparability kind")
-        cmd.add_argument("--guard", "--guard-colorings", type=int,
+        cmd.add_argument("--guard", "--guard-colorings", type=_guard,
                          dest="guard_colorings", default=NODE_GUARD,
                          help="node budget for the coloring search")
         cmd.add_argument("--time-limit", type=_seconds, default=None)
@@ -173,7 +183,7 @@ def _build_parser() -> _Parser:
     bc = bsub.add_parser("compute")
     bc.add_argument("file")
     bc.add_argument("--d-max", type=int, default=3, dest="d_max")
-    bc.add_argument("--guard-elements", type=int, default=6)
+    bc.add_argument("--guard-elements", type=_guard, default=6)
     bc.add_argument("--out")
     bk = bsub.add_parser("check")
     bk.add_argument("poset_file")
@@ -193,7 +203,7 @@ def _build_parser() -> _Parser:
     ep.add_argument("--t", type=int, required=True)
     ep.add_argument("--r", type=int, required=True)
     ep.add_argument("--k-max", type=int, required=True, dest="k_max")
-    ep.add_argument("--guard", type=int, default=NODE_GUARD)
+    ep.add_argument("--guard", type=_guard, default=NODE_GUARD)
     ep.add_argument("--out")
     ed = esub.add_parser("demo")
     ed.add_argument("--poset", required=True)

@@ -29,8 +29,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import lru_cache
 from heapq import merge
-from itertools import chain, combinations, islice, product as iproduct, repeat
-from operator import add, itemgetter
+from itertools import chain, combinations, compress, islice, product as iproduct, repeat
+from operator import add, eq, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import ChainStepFailure, ContractViolation, GuardExceeded, Record
@@ -333,8 +333,11 @@ def find_monochromatic_subgrid(n: int, t: int, m: int, l: int, coloring: Colorin
                                ) -> Optional[MonoWitness]:
     """First l^t subgrid whose m^t subgrids all share a color, else None.
 
-    Subgrids are scanned in ``enumerate_subgrids`` order and the inner ones
-    in ``subgrids_within`` order; each scan stops at its first color mismatch.
+    Subgrids are scanned in ``enumerate_subgrids`` order. A dict coloring is
+    scanned by per-row color bitmasks (``_mono_subgrid_by_rows``). A function
+    coloring, or a map that lacks a key the bitmasks read, is scanned key by
+    key: the inner subgrids in ``subgrids_within`` order, each outer subgrid
+    up to its first color mismatch.
     """
     if coloring.kind != KIND_SUBGRID:
         raise ContractViolation("subgrid search expects a subgrid coloring")
@@ -344,6 +347,11 @@ def find_monochromatic_subgrid(n: int, t: int, m: int, l: int, coloring: Colorin
     if work > STRUCTURE_GUARD:
         raise GuardExceeded(f"subgrid scan of {work} cells exceeds guard")
     table = _subsets_within(n, l, m)
+    if type(coloring) is MapColoring:
+        try:
+            return _mono_subgrid_by_rows(n, t, m, l, table, coloring.assignment)
+        except KeyError:
+            pass  # a partial map is scanned key by key below, as a function coloring is
     color_of = coloring.color_of
     for outer, inners in zip(iproduct(table, repeat=t), iproduct(table.values(), repeat=t)):
         inner = iproduct(*inners)
@@ -353,6 +361,47 @@ def find_monochromatic_subgrid(n: int, t: int, m: int, l: int, coloring: Colorin
                 break
         else:
             return MonoWitness(KIND_SUBGRID, color, subgrid=Subgrid(outer))
+    return None
+
+
+def _mono_subgrid_by_rows(n: int, t: int, m: int, l: int, table: dict, assignment: dict
+                          ) -> Optional[MonoWitness]:
+    """``find_monochromatic_subgrid`` over a dict coloring; KeyError if a row
+    it reads lacks a key.
+
+    A row is one choice of the first t-1 axes' m-subsets. It is read from the
+    map once, when first needed, as one bitmask per color: bit i for the i-th
+    m-subset of the last axis. Each outer prefix ANDs its inner rows color by
+    color; the first last-axis l-subset whose m-subsets all lie in one color's
+    mask completes the witness.
+    """
+    subsets = list(combinations(range(n), m))
+    powers = [1 << i for i in range(len(subsets))]
+    bit = dict(zip(subsets, powers))
+    lasts = [sum(map(bit.__getitem__, inners)) for inners in table.values()]
+    need = math.comb(l, m)
+
+    def fill(prefix: tuple) -> None:
+        colors = list(map(assignment.get, zip(*map(repeat, prefix), subsets)))
+        if None in colors:
+            raise KeyError(prefix)
+        rows[prefix] = {c: sum(compress(powers, map(eq, colors, repeat(c)))) for c in set(colors)}
+
+    rows = _LazyRows()
+    rows.fill = fill
+    outers = list(table)
+    for prefix in iproduct(outers, repeat=t - 1):
+        inner = iproduct(*map(table.__getitem__, prefix))
+        masks = rows[next(inner)]
+        for key in inner:
+            row = rows[key]
+            masks = {c: bits & row[c] for c, bits in masks.items() if c in row}
+        j = min((j for bits in masks.values() if bits.bit_count() >= need
+                 for j, want in enumerate(lasts) if bits & want == want), default=None)
+        if j is not None:
+            outer = prefix + (outers[j],)
+            first = tuple(table[axis][0] for axis in outer)
+            return MonoWitness(KIND_SUBGRID, assignment[first], subgrid=Subgrid(outer))
     return None
 
 
@@ -376,7 +425,7 @@ class _LazyRows(dict):
 
     __slots__ = ("fill",)
 
-    def __missing__(self, v: int) -> int:
+    def __missing__(self, v):
         self.fill(v)
         return self[v]
 

@@ -161,6 +161,34 @@ def test_a_zero_time_limit_is_inconclusive():
     assert result.exit_code == 2 and "time limit exceeded" in result.output
 
 
+_GUARDED = [
+    (["ramsey", "verify", "--kind", "comparability", "--t", "1", "--r", "2", "--p-chain", "3",
+      "--n", "4"], "--guard", "--guard/--guard-colorings"),
+    (["ramsey", "verify", "--kind", "comparability", "--t", "1", "--r", "2", "--p-chain", "3",
+      "--n", "4"], "--guard-colorings", "--guard/--guard-colorings"),
+    (["ramsey", "search", "--kind", "subgrid", "--t", "2", "--r", "2", "--m", "1", "--l", "2",
+      "--n-max", "4"], "--guard", "--guard/--guard-colorings"),
+    (["extension", "partition-ramsey", "--s", "2", "--t", "2", "--r", "2", "--k-max", "3"],
+     "--guard", "--guard"),
+    (["bdim", "compute", "missing.poset"], "--guard-elements", "--guard-elements"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, shown", _GUARDED)
+@pytest.mark.parametrize("value", ["-5", "-1", "x", "1.5"])
+def test_a_guard_that_is_not_a_count_is_a_usage_error(argv, flag, shown, value):
+    result = cli.run(argv + [f"{flag}={value}"])
+    assert (result.exit_code, result.output, result.certificate) == (
+        64, f"usage error: argument {shown}: expected a non-negative integer, got {value!r}",
+        None)
+
+
+def test_a_zero_guard_is_still_a_guard():
+    result = cli.run(_GUARDED[0][0] + ["--guard", "0"])
+    assert result.exit_code == 2
+    assert "node guard 0 at depth 0/6" in result.output
+
+
 def _write(path, payload):
     path.write_text(json.dumps({"format_version": 1, **payload}))
     return str(path)

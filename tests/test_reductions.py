@@ -4,9 +4,11 @@ pinned reduce certificates; the reduce command's argument checks."""
 
 import hashlib
 import json
+import math
 import random
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
+from itertools import combinations, product as iproduct
 from pathlib import Path
 
 import pytest
@@ -192,6 +194,79 @@ def test_subgrid_scan_missing_key():
     coloring = MapColoring(KIND_SUBGRID, 2, {key: 1 for key in keys if key != outside})
     found = find_monochromatic_subgrid(n, t, m, l, coloring)
     assert found.subgrid == Subgrid.full(l, t) and found.color == 1
+
+
+def _scan_outcome(n, t, m, l, coloring):
+    """The scan's witness as (kind, color, axes), or its ContractViolation text."""
+    try:
+        found = find_monochromatic_subgrid(n, t, m, l, coloring)
+    except ContractViolation as exc:
+        return str(exc)
+    return found and (found.kind, found.color, found.subgrid.axes)
+
+
+def _scan_maps(n, t, m, rng):
+    """(r, map) pairs over the m-subgrids of n^t: random, one-color-biased and
+    constant maps for r in 1..3, and one with every key its own color."""
+    keys = [sub.axes for sub in enumerate_subgrids(n, t, m)]
+    for r in (1, 2, 3):
+        yield r, {key: rng.randint(1, r) for key in keys}
+        yield r, {key: r if rng.random() < 0.85 else rng.randint(1, r) for key in keys}
+        yield r, dict.fromkeys(keys, r)
+    yield len(keys), {key: i + 1 for i, key in enumerate(keys)}
+
+
+@pytest.mark.parametrize("t, m, l, n", _SCAN_CASES)
+def test_subgrid_scan_of_a_map_matches_the_key_by_key_scan(t, m, l, n):
+    """The bitmask scan of a MapColoring against the same map behind a
+    FunctionColoring, which is scanned key by key: total, partial (1-3 keys
+    removed) and padded maps, witness, None and error alike."""
+    rng = random.Random(1000 * t + 100 * m + 10 * l + n)
+    outcomes = set()
+    for r, colors in _scan_maps(n, t, m, rng):
+        keys = list(colors)
+        partial = [{key: c for key, c in colors.items() if key not in gone}
+                   for gone in (set(rng.sample(keys, k)) for k in (1, 2, 3) * 3)]
+        padded = {**colors, **{(tuple(range(n, n + m)),) * t: 1, ((0,) * (m + 1),) * t: r}}
+        for assignment in [colors, padded] + partial:
+            by_map = MapColoring(KIND_SUBGRID, r, assignment)
+            by_key = FunctionColoring(KIND_SUBGRID, r, by_map.color_of)
+            want = _scan_outcome(n, t, m, l, by_key)
+            assert _scan_outcome(n, t, m, l, by_map) == want
+            outcomes.add(type(want))
+    assert outcomes == {type(None), tuple, str}
+
+
+class _CountingDict(dict):
+    """A dict that counts its ``get`` calls per key."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.reads = Counter()
+
+    def get(self, key, default=None):
+        self.reads[key] += 1
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("t, m, l, n", [(1, 2, 4, 6), (2, 1, 2, 4), (2, 2, 3, 5),
+                                        (3, 1, 2, 3), (3, 2, 3, 4)])
+def test_subgrid_scan_of_a_map_reads_each_row_once(t, m, l, n):
+    keys = [sub.axes for sub in enumerate_subgrids(n, t, m)]
+    # Every key its own color: no l-subgrid is monochromatic, so every row is read.
+    coloring = MapColoring(KIND_SUBGRID, len(keys), {key: i + 1 for i, key in enumerate(keys)})
+    coloring.assignment = _CountingDict(coloring.assignment)
+    assert find_monochromatic_subgrid(n, t, m, l, coloring) is None
+    assert coloring.assignment.reads == Counter(keys)
+    # A constant map's witness lies in the first outer prefix: only the rows of
+    # that prefix's C(l, m)^(t-1) inner prefixes are read, each once.
+    coloring = MapColoring(KIND_SUBGRID, 1, dict.fromkeys(keys, 1))
+    coloring.assignment = _CountingDict(coloring.assignment)
+    found = find_monochromatic_subgrid(n, t, m, l, coloring)
+    assert found.subgrid == Subgrid.full(l, t) and found.color == 1
+    rows = set(iproduct(combinations(range(l), m), repeat=t - 1))
+    assert len(rows) == math.comb(l, m) ** (t - 1)
+    assert coloring.assignment.reads == Counter(key for key in keys if key[:-1] in rows)
 
 
 @pytest.mark.parametrize("t, m, l, n", [(1, 2, 3, 6), (2, 1, 2, 4), (2, 2, 3, 5), (3, 1, 2, 3)])
