@@ -98,7 +98,8 @@ def _seconds(text: str) -> float:
 
 
 def _guard(text: str) -> int:
-    """A ``--guard`` or ``--guard-elements`` value: a non-negative integer."""
+    """A guard or cap value (``--guard``, ``--guard-elements``, ``--cap``,
+    ``--d-max``): a non-negative integer."""
     try:
         if int(text) >= 0:
             return int(text)
@@ -127,7 +128,7 @@ def _build_parser() -> _Parser:
     info.add_argument("file")
     ext = psub.add_parser("extensions")
     ext.add_argument("file")
-    ext.add_argument("--cap", type=int, default=12)
+    ext.add_argument("--cap", type=_guard, default=12)
     iso = psub.add_parser("isomorphic")
     iso.add_argument("file_a")
     iso.add_argument("file_b")
@@ -182,7 +183,7 @@ def _build_parser() -> _Parser:
     bsub = b.add_subparsers(dest="command", required=True)
     bc = bsub.add_parser("compute")
     bc.add_argument("file")
-    bc.add_argument("--d-max", type=int, default=3, dest="d_max")
+    bc.add_argument("--d-max", type=_guard, default=3, dest="d_max")
     bc.add_argument("--guard-elements", type=_guard, default=6)
     bc.add_argument("--out")
     bk = bsub.add_parser("check")

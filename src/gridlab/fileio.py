@@ -317,17 +317,13 @@ def make_certificate(command: Sequence[str], parameters: Mapping,
                      verdict: str, witness, witness_text: Optional[str] = None) -> dict:
     """A certificate and its digest. ``witness_text``, when given, must be
     ``canonical_json(witness)``; the digest then hashes it as it stands."""
-    cert = {"format_version": FORMAT_VERSION, "kind": "certificate",
-            "command": list(command), "parameters": dict(parameters),
-            "verdict": verdict, "witness": witness}
+    head = {"format_version": FORMAT_VERSION, "kind": "certificate",
+            "command": list(command), "parameters": dict(parameters), "verdict": verdict}
     if witness_text is None:
-        cert["digest"] = certificate_digest(cert)
-    else:
-        # "witness" sorts after every other key, so it closes the body.
-        head = canonical_json({k: v for k, v in cert.items() if k != "witness"})
-        body = f'{head[:-1]},"witness":{witness_text}}}'
-        cert["digest"] = hashlib.sha256(body.encode()).hexdigest()
-    return cert
+        witness_text = canonical_json(witness)
+    # "witness" sorts after every other key, so it closes the body.
+    body = f'{canonical_json(head)[:-1]},"witness":{witness_text}}}'
+    return {**head, "witness": witness, "digest": hashlib.sha256(body.encode()).hexdigest()}
 
 
 def save_certificate(path: PathLike, cert: Mapping) -> None:

@@ -134,6 +134,14 @@ class MapColoring(Coloring):
         except KeyError:
             raise ContractViolation(f"coloring is not total: missing key {key!r}") from None
 
+    def colors(self, keys: Iterable) -> list[int]:
+        """The colors of ``keys``, read from the map in one pass; a missing key
+        raises as in ``color_of``, once the keys before it are read."""
+        try:
+            return list(map(self.assignment.__getitem__, keys))
+        except KeyError as exc:
+            raise ContractViolation(f"coloring is not total: missing key {exc.args[0]!r}") from None
+
     def items(self):
         return sorted(self.assignment.items())
 
@@ -333,11 +341,15 @@ def find_monochromatic_subgrid(n: int, t: int, m: int, l: int, coloring: Colorin
                                ) -> Optional[MonoWitness]:
     """First l^t subgrid whose m^t subgrids all share a color, else None.
 
-    Subgrids are scanned in ``enumerate_subgrids`` order. A dict coloring is
-    scanned by per-row color bitmasks (``_mono_subgrid_by_rows``). A function
-    coloring, or a map that lacks a key the bitmasks read, is scanned key by
-    key: the inner subgrids in ``subgrids_within`` order, each outer subgrid
-    up to its first color mismatch.
+    Subgrids are scanned in ``enumerate_subgrids`` order by per-row color
+    bitmasks. A row is one choice of the first t-1 axes' m-subsets. It is read
+    once, when first needed, with one ``coloring.colors`` call, and kept as one
+    bitmask per color: bit i for the i-th m-subset of the last axis. Each outer
+    prefix ANDs its inner rows color by color; the first last-axis l-subset
+    whose m-subsets all lie in one color's mask completes the witness, in that
+    color. A row that lacks a key raises ContractViolation for its first
+    missing key when it is read, so a witness is returned only once every row
+    of its outer prefix is read.
     """
     if coloring.kind != KIND_SUBGRID:
         raise ContractViolation("subgrid search expects a subgrid coloring")
@@ -347,34 +359,6 @@ def find_monochromatic_subgrid(n: int, t: int, m: int, l: int, coloring: Colorin
     if work > STRUCTURE_GUARD:
         raise GuardExceeded(f"subgrid scan of {work} cells exceeds guard")
     table = _subsets_within(n, l, m)
-    if type(coloring) is MapColoring:
-        try:
-            return _mono_subgrid_by_rows(n, t, m, l, table, coloring.assignment)
-        except KeyError:
-            pass  # a partial map is scanned key by key below, as a function coloring is
-    color_of = coloring.color_of
-    for outer, inners in zip(iproduct(table, repeat=t), iproduct(table.values(), repeat=t)):
-        inner = iproduct(*inners)
-        color = color_of(next(inner))
-        for key in inner:
-            if color_of(key) != color:
-                break
-        else:
-            return MonoWitness(KIND_SUBGRID, color, subgrid=Subgrid(outer))
-    return None
-
-
-def _mono_subgrid_by_rows(n: int, t: int, m: int, l: int, table: dict, assignment: dict
-                          ) -> Optional[MonoWitness]:
-    """``find_monochromatic_subgrid`` over a dict coloring; KeyError if a row
-    it reads lacks a key.
-
-    A row is one choice of the first t-1 axes' m-subsets. It is read from the
-    map once, when first needed, as one bitmask per color: bit i for the i-th
-    m-subset of the last axis. Each outer prefix ANDs its inner rows color by
-    color; the first last-axis l-subset whose m-subsets all lie in one color's
-    mask completes the witness.
-    """
     subsets = list(combinations(range(n), m))
     powers = [1 << i for i in range(len(subsets))]
     bit = dict(zip(subsets, powers))
@@ -382,9 +366,7 @@ def _mono_subgrid_by_rows(n: int, t: int, m: int, l: int, table: dict, assignmen
     need = math.comb(l, m)
 
     def fill(prefix: tuple) -> None:
-        colors = list(map(assignment.get, zip(*map(repeat, prefix), subsets)))
-        if None in colors:
-            raise KeyError(prefix)
+        colors = list(coloring.colors(zip(*map(repeat, prefix), subsets)))
         rows[prefix] = {c: sum(compress(powers, map(eq, colors, repeat(c)))) for c in set(colors)}
 
     rows = _LazyRows()
@@ -396,12 +378,11 @@ def _mono_subgrid_by_rows(n: int, t: int, m: int, l: int, table: dict, assignmen
         for key in inner:
             row = rows[key]
             masks = {c: bits & row[c] for c, bits in masks.items() if c in row}
-        j = min((j for bits in masks.values() if bits.bit_count() >= need
-                 for j, want in enumerate(lasts) if bits & want == want), default=None)
-        if j is not None:
-            outer = prefix + (outers[j],)
-            first = tuple(table[axis][0] for axis in outer)
-            return MonoWitness(KIND_SUBGRID, assignment[first], subgrid=Subgrid(outer))
+        found = min(((j, c) for c, bits in masks.items() if bits.bit_count() >= need
+                     for j, want in enumerate(lasts) if bits & want == want), default=None)
+        if found is not None:
+            j, color = found
+            return MonoWitness(KIND_SUBGRID, color, subgrid=Subgrid(prefix + (outers[j],)))
     return None
 
 

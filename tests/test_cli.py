@@ -171,6 +171,8 @@ _GUARDED = [
     (["extension", "partition-ramsey", "--s", "2", "--t", "2", "--r", "2", "--k-max", "3"],
      "--guard", "--guard"),
     (["bdim", "compute", "missing.poset"], "--guard-elements", "--guard-elements"),
+    (["bdim", "compute", "missing.poset"], "--d-max", "--d-max"),
+    (["poset", "extensions", "missing.poset"], "--cap", "--cap"),
 ]
 
 

@@ -161,10 +161,10 @@ def test_subgrid_scan_matches_reference(t, m, l, n, bias):
     seed = 1000 * t + 100 * m + 10 * l + n
     for r in (2, 3):
         base = hash_coloring(KIND_SUBGRID, r, seed, bias_color=r, bias=bias)
-        got, want = _Recorder(base), _Recorder(base)
+        got = _Recorder(base)
         found = find_monochromatic_subgrid(n, t, m, l, got)
-        expected = _reference_scan(n, t, m, l, want)
-        assert got.calls == want.calls
+        expected = _reference_scan(n, t, m, l, base)
+        assert max(Counter(got.calls).values()) == 1  # no key is read twice
         if expected is None:
             assert found is None
         else:
@@ -190,8 +190,19 @@ def test_subgrid_scan_missing_key():
     coloring = MapColoring(KIND_SUBGRID, 2, {key: 1 for key in keys if key != inside})
     with pytest.raises(ContractViolation, match=re.escape(f"missing key {inside!r}")):
         find_monochromatic_subgrid(n, t, m, l, coloring)
-    # The first outer subgrid is monochromatic, so the scan never reaches the gap.
+    # The first outer subgrid is monochromatic, but the first row read, the
+    # keys with first axis (0, 1), lacks ``outside``: the map is refused.
+    assert outside[0] == (0, 1)
     coloring = MapColoring(KIND_SUBGRID, 2, {key: 1 for key in keys if key != outside})
+    with pytest.raises(ContractViolation, match=re.escape(f"missing key {outside!r}")):
+        find_monochromatic_subgrid(n, t, m, l, coloring)
+    # Of two gaps, the one in the row read first is named, not the earlier key.
+    gaps = {((0, 2), (0, 1)), ((0, 1), (3, 4))}
+    coloring = MapColoring(KIND_SUBGRID, 2, {key: 1 for key in keys if key not in gaps})
+    with pytest.raises(ContractViolation, match=re.escape("missing key ((0, 1), (3, 4))")):
+        find_monochromatic_subgrid(n, t, m, l, coloring)
+    # A gap in a row the scan never reads is not seen: the witness comes first.
+    coloring = MapColoring(KIND_SUBGRID, 2, {key: 1 for key in keys if key[0] != (3, 4)})
     found = find_monochromatic_subgrid(n, t, m, l, coloring)
     assert found.subgrid == Subgrid.full(l, t) and found.color == 1
 
@@ -205,6 +216,28 @@ def _scan_outcome(n, t, m, l, coloring):
     return found and (found.kind, found.color, found.subgrid.axes)
 
 
+def _expected_outcome(n, t, m, l, r, assignment):
+    """``_scan_outcome`` from ``_reference_scan`` and the row order: a map that
+    lacks keys is refused at the first missing key of the first row read (a
+    row is one choice of the first t-1 axes' m-subsets, read whole when an
+    outer prefix first needs it), unless a witness lies in an earlier prefix."""
+    keys = [sub.axes for sub in enumerate_subgrids(n, t, m)]
+    missing = [key for key in keys if key not in assignment]
+    # Each missing key gets a color of its own, so no witness holds one (m < l).
+    filled = {**assignment, **{key: r + 1 + i for i, key in enumerate(missing)}}
+    found = _reference_scan(n, t, m, l, MapColoring(KIND_SUBGRID, r + len(missing), filled))
+    if missing:
+        first = {}
+        for prefix in iproduct(combinations(range(n), l), repeat=t - 1):
+            for row in iproduct(*(combinations(axis, m) for axis in prefix)):
+                first.setdefault(row, prefix)
+        order = {row: i for i, row in enumerate(first)}
+        gap = min(missing, key=lambda key: (order[key[:-1]], key[-1]))
+        if found is None or first[gap[:-1]] <= found[0][:-1]:
+            return f"coloring is not total: missing key {gap!r}"
+    return found and (KIND_SUBGRID, found[1], found[0])
+
+
 def _scan_maps(n, t, m, rng):
     """(r, map) pairs over the m-subgrids of n^t: random, one-color-biased and
     constant maps for r in 1..3, and one with every key its own color."""
@@ -216,37 +249,50 @@ def _scan_maps(n, t, m, rng):
     yield len(keys), {key: i + 1 for i, key in enumerate(keys)}
 
 
-@pytest.mark.parametrize("t, m, l, n", _SCAN_CASES)
-def test_subgrid_scan_of_a_map_matches_the_key_by_key_scan(t, m, l, n):
-    """The bitmask scan of a MapColoring against the same map behind a
-    FunctionColoring, which is scanned key by key: total, partial (1-3 keys
-    removed) and padded maps, witness, None and error alike."""
-    rng = random.Random(1000 * t + 100 * m + 10 * l + n)
-    outcomes = set()
-    for r, colors in _scan_maps(n, t, m, rng):
-        keys = list(colors)
-        partial = [{key: c for key, c in colors.items() if key not in gone}
-                   for gone in (set(rng.sample(keys, k)) for k in (1, 2, 3) * 3)]
-        padded = {**colors, **{(tuple(range(n, n + m)),) * t: 1, ((0,) * (m + 1),) * t: r}}
-        for assignment in [colors, padded] + partial:
-            by_map = MapColoring(KIND_SUBGRID, r, assignment)
-            by_key = FunctionColoring(KIND_SUBGRID, r, by_map.color_of)
-            want = _scan_outcome(n, t, m, l, by_key)
-            assert _scan_outcome(n, t, m, l, by_map) == want
-            outcomes.add(type(want))
-    assert outcomes == {type(None), tuple, str}
-
-
 class _CountingDict(dict):
-    """A dict that counts its ``get`` calls per key."""
+    """A dict that counts its ``__getitem__`` calls per key."""
 
     def __init__(self, items):
         super().__init__(items)
         self.reads = Counter()
 
-    def get(self, key, default=None):
+    def __getitem__(self, key):
         self.reads[key] += 1
-        return super().get(key, default)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("t, m, l, n", _SCAN_CASES)
+def test_subgrid_scan_of_a_map_matches_the_key_by_key_scan(t, m, l, n):
+    """The scan of a MapColoring, whose rows are read from the dict in one
+    pass, of the same map behind a FunctionColoring, whose rows are read key
+    by key through ``color_of``, and of unbiased hash colorings, whose rows
+    are hashed in one loop, against ``_reference_scan``: total, partial (1-3
+    keys removed) and padded maps, witness, None and error alike. No key is
+    read twice, and a total map with no witness has every key read once."""
+    rng = random.Random(1000 * t + 100 * m + 10 * l + n)
+    keys = [sub.axes for sub in enumerate_subgrids(n, t, m)]
+    outcomes = set()
+    for r, colors in _scan_maps(n, t, m, rng):
+        partial = [{key: c for key, c in colors.items() if key not in gone}
+                   for gone in (set(rng.sample(keys, k)) for k in (1, 2, 3) * 3)]
+        padded = {**colors, **{(tuple(range(n, n + m)),) * t: 1, ((0,) * (m + 1),) * t: r}}
+        for assignment in [colors, padded] + partial:
+            want = _expected_outcome(n, t, m, l, r, assignment)
+            by_map = MapColoring(KIND_SUBGRID, r, assignment)
+            by_key = _Recorder(MapColoring(KIND_SUBGRID, r, assignment))
+            by_map.assignment = _CountingDict(by_map.assignment)
+            assert _scan_outcome(n, t, m, l, by_map) == want
+            assert _scan_outcome(n, t, m, l, by_key) == want
+            for reads in (by_map.assignment.reads, Counter(by_key.calls)):
+                assert max(reads.values()) == 1
+                if want is None:
+                    assert reads == Counter(keys)
+            outcomes.add(type(want))
+    assert outcomes == {type(None), tuple, str}
+    for r in (2, 3):
+        hashed = hash_coloring(KIND_SUBGRID, r, rng.randrange(1 << 30))
+        assert _scan_outcome(n, t, m, l, hashed) == _expected_outcome(
+            n, t, m, l, r, {key: hashed.color_of(key) for key in keys})
 
 
 @pytest.mark.parametrize("t, m, l, n", [(1, 2, 4, 6), (2, 1, 2, 4), (2, 2, 3, 5),
@@ -567,12 +613,19 @@ def test_colors_consumes_keys_lazily_and_stops_at_the_missing_one():
             consumed.append(key)
             yield key
 
-    colors = partial.colors(produce())
+    # The default colors, here over the map's color_of, is lazy.
+    colors = FunctionColoring(KIND_COMPARABILITY, 2, partial.color_of).colors(produce())
     assert consumed == []
     assert next(colors) == 1 and consumed == keys[:1]
     with pytest.raises(ContractViolation, match=re.escape("missing key (6, 7)")):
         list(colors)
     assert consumed == keys[:7]
+    # A map's colors reads in one pass and stops at the same key.
+    consumed.clear()
+    with pytest.raises(ContractViolation, match=re.escape("coloring is not total: missing key (6, 7)")):
+        partial.colors(produce())
+    assert consumed == keys[:7]
+    assert partial.colors(keys[:6]) == [1] * 6
     with pytest.raises(ContractViolation, match=re.escape("missing key (6, 7)")):
         [partial.color_of(key) for key in keys]
 
