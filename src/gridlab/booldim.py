@@ -4,13 +4,14 @@ A Boolean realizer of P is a list of d linear orders of P's ground set
 (arbitrary permutations, not necessarily extensions) together with an
 accepted set S of length-d bit strings such that x < y in P exactly when
 the pair's signature lies in S. The dimension search never enumerates
-accepted sets: S is forced on comparable-pair signatures and forbidden
-elsewhere, so consistency of the derived set decides a candidate tuple.
+accepted sets: cutting the pairs by each order's bitset or its complement
+leaves one cell per signature; a tuple realizes P iff no cell mixes pairs
+x < y with other pairs, and S is then the signatures of the cells of x < y.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from typing import Optional, Sequence
 
 from .errors import ContractViolation, GuardExceeded, Record
@@ -101,40 +102,17 @@ def from_dm_realizer(p: Poset, rz: Realizer) -> BooleanRealizer:
 # -- dimension search ----------------------------------------------------------
 
 
-def _derived_accept(p: Poset, pos_tuple) -> Optional[set[int]]:
-    """Accepted set forced by the orders, as signature bitmasks, or None.
-
-    Bit i of a mask is order i's verdict. The set is the comparable-pair
-    signatures; it must avoid every signature of a non-related ordered pair.
-    """
-    comp: set[int] = set()
-    for x in range(p.n):
-        row = p.up[x]
-        y = 0
-        while row:
-            if row & 1:
-                mask = 0
-                for i, q in enumerate(pos_tuple):
-                    if q[x] < q[y]:
-                        mask |= 1 << i
-                comp.add(mask)
-            row >>= 1
-            y += 1
-    for x in range(p.n):
-        for y in range(p.n):
-            if x == y or p.lt(x, y):
-                continue
-            mask = 0
-            for i, q in enumerate(pos_tuple):
-                if q[x] < q[y]:
-                    mask |= 1 << i
-            if mask in comp:
-                return None
-    return comp
+def _pair_bits(perm: tuple[int, ...]) -> int:
+    """Bit x*n + y is set iff ``perm`` puts x before y."""
+    return sum(1 << x * len(perm) + y for i, x in enumerate(perm) for y in perm[i + 1:])
 
 
-def _dual_minimal(perm: tuple[int, ...]) -> bool:
-    return perm <= perm[::-1]
+def _cells(bits: Sequence[int], cells: list[int]) -> list[int]:
+    """Split each cell by each order in turn: cell j of the result holds the pairs of
+    cell j >> len(bits) whose signature is j's last len(bits) binary digits."""
+    for b in bits:
+        cells = [part for cell in cells for part in (cell & ~b, cell & b)]
+    return cells
 
 
 def _orbit_minimal(perm: tuple[int, ...], auts) -> bool:
@@ -162,39 +140,36 @@ def boolean_dim(p: Poset, d_max: int = 4,
     """
     if p.n > guard_elements:
         raise GuardExceeded(f"Boolean dimension search capped at {guard_elements} elements")
-    perms = [perm for perm in permutations(range(p.n)) if _dual_minimal(perm)]
+    n = p.n
+    perms = [perm for perm in permutations(range(n)) if perm <= perm[::-1]]
     auts = automorphisms(p)
-    reps = [perm for perm in perms if _orbit_minimal(perm, auts)]
-    pos = {perm: _positions(perm) for perm in perms}
-    rank = {perm: i for i, perm in enumerate(perms)}
+    reps = [i for i, perm in enumerate(perms) if _orbit_minimal(perm, auts)]
+    bits = [_pair_bits(perm) for perm in perms]
+    full = (1 << n * n) - 1 - sum(1 << x * (n + 1) for x in range(n))
+    comp = sum(row << x * n for x, row in enumerate(p.up))
+    other = full ^ comp
 
     for d in range(1, d_max + 1):
-        chosen: list[tuple[int, ...]] = []
-
-        def rec(start: int) -> Optional[BooleanRealizer]:
-            if len(chosen) == d:
-                accept = _derived_accept(p, [pos[perm] for perm in chosen])
-                if accept is None:
-                    return None
-                strings = frozenset(
-                    "".join("1" if (mask >> i) & 1 else "0" for i in range(d))
-                    for mask in accept)
-                return BooleanRealizer(tuple(chosen), strings)
-            for idx in range(start, len(perms)):
-                chosen.append(perms[idx])
-                got = rec(idx)
-                if got is not None:
-                    return got
-                chosen.pop()
-            return None
-
         for first in reps:
-            chosen = [first]
-            got = rec(rank[first])
-            if got is not None:
-                if not is_boolean_realizer(p, got):
-                    raise ContractViolation("dimension search produced an invalid witness")
-                return BooleanDimResult(d, got, d_max)
+            prefix = None
+            for rest in combinations_with_replacement(range(first, len(perms)), d - 1):
+                chosen = (first, *rest)
+                if chosen[:-1] != prefix:
+                    # A split keeps a pure cell pure: only mixed ones can fail.
+                    prefix = chosen[:-1]
+                    cells = _cells([bits[i] for i in prefix], [full])
+                    mixed = [(c & comp, c & other) for c in cells if c & comp and c & other]
+                last = bits[chosen[-1]]
+                for c, o in mixed:
+                    if c & last and o & last or c & ~last and o & ~last:
+                        break
+                else:
+                    cells = _cells([bits[i] for i in chosen], [full])
+                    got = BooleanRealizer(tuple(perms[i] for i in chosen), frozenset(
+                        format(j, f"0{d}b") for j, cell in enumerate(cells) if cell & comp))
+                    if not is_boolean_realizer(p, got):
+                        raise ContractViolation("dimension search produced an invalid witness")
+                    return BooleanDimResult(d, got, d_max)
     return BooleanDimResult(None, None, d_max)
 
 

@@ -99,7 +99,7 @@ def _seconds(text: str) -> float:
 
 def _guard(text: str) -> int:
     """A guard or cap value (``--guard``, ``--guard-elements``, ``--cap``,
-    ``--d-max``): a non-negative integer."""
+    ``--d-max``, ``--max-colors``): a non-negative integer."""
     try:
         if int(text) >= 0:
             return int(text)
@@ -216,7 +216,7 @@ def _build_parser() -> _Parser:
     ref = grsub.add_parser("refute")
     ref.add_argument("--host", required=True)
     ref.add_argument("--pattern", required=True)
-    ref.add_argument("--max-colors", type=int, default=6, dest="max_colors")
+    ref.add_argument("--max-colors", type=_guard, default=6, dest="max_colors")
     ref.add_argument("--out")
 
     v = sub.add_parser("verify", help="re-run a certificate")
@@ -290,6 +290,8 @@ def _cmd_poset(args, argv) -> RunResult:
 
 def _cmd_grid(args, argv) -> RunResult:
     if args.command == "core":
+        if args.s < 1:
+            raise ContractViolation("cores need s >= 1")
         points = core(Subgrid.full(args.s * args.s, 2))
         text = _format_points(points)
         cert = _certificate(argv, {"s": args.s}, "core",

@@ -265,10 +265,18 @@ def load_coloring(path: PathLike, g: GridPoset) -> MapColoring:
     if type(r) is not int:  # bool is an int subclass, and not a color count
         raise InvalidInput(f"{path}: 'r' must be an integer, got {r!r}")
     key = _key_reader(kind, g)
+    entries = payload.get("assignment", ())
     try:
-        assignment = {key(raw): color for raw, color in payload.get("assignment", ())}
+        assignment = {key(raw): color for raw, color in entries}
     except (ContractViolation, TypeError, ValueError) as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
+    if len(assignment) != len(entries):  # a key listed twice, which the dict kept once
+        seen = set()
+        for raw, _ in entries:
+            k = key(raw)
+            if k in seen:
+                raise InvalidInput(f"{path}: key {canonical_json(raw)} is listed twice")
+            seen.add(k)
     for color in assignment.values():
         if type(color) is not int:
             raise InvalidInput(f"{path}: color {color!r} is not an integer")

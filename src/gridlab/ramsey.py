@@ -1267,15 +1267,6 @@ class ProbeReport(Record):
     def distinct_types(self) -> int:
         return len(self.census)
 
-    def summary(self) -> str:
-        lines = [f"2^3 subposet copies of {self.n}^3 scanned: {self.copies_scanned}",
-                 f"distinct coordinate-trace types: {self.distinct_types}",
-                 f"tie-free types: {len(self.tie_free_census)}"]
-        for i, (tkey, count) in enumerate(self.census):
-            flag = " (product)" if tkey == self.product_type else ""
-            lines.append(f"type {i}: {count} copies{flag}")
-        return "\n".join(lines)
-
 
 def enumerate_tie_free_cube_copies(g3: GridPoset,
                                    guard_nodes: int = NODE_GUARD

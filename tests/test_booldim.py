@@ -1,12 +1,17 @@
 """Boolean realizers: signature laws, dimension search, reconstruction."""
 
+import hashlib
 import random
 from itertools import permutations
 
 import pytest
 
+from gridlab.acceptance import _all_posets_up_to_iso
 from gridlab.booldim import (
+    BooleanDimResult,
     BooleanRealizer,
+    _cells,
+    _pair_bits,
     boolean_dim,
     from_dm_realizer,
     is_boolean_realizer,
@@ -117,6 +122,39 @@ def test_boolean_dim_guard_and_not_found():
         boolean_dim(make_chain(7))
     res = boolean_dim(grid(2, 2), d_max=1)
     assert res.dim is None and res.realizer is None
+
+
+def test_each_pair_lies_in_the_cell_of_its_signature():
+    rng = random.Random(11)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        orders = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(1, 3))]
+        full = sum(1 << x * n + y for x in range(n) for y in range(n) if x != y)
+        cells = _cells([_pair_bits(order) for order in orders], [full])
+        assert len(cells) == 2 ** len(orders)
+        for x in range(n):
+            for y in range(n):
+                if x != y:
+                    holding = [j for j, cell in enumerate(cells) if cell >> x * n + y & 1]
+                    assert holding == [int(signature(x, y, orders), 2)]
+
+
+def test_boolean_dim_of_the_standard_example_s3():
+    s3 = Poset.from_lt_pairs(6, [(i, 3 + j) for i in range(3) for j in range(3) if i != j])
+    assert boolean_dim(s3, d_max=2) == BooleanDimResult(None, None, 2)
+    want = BooleanRealizer(((0, 1, 5, 2, 3, 4), (0, 2, 4, 1, 3, 5), (1, 2, 3, 0, 4, 5)),
+                           frozenset({"111"}))
+    assert boolean_dim(s3, d_max=3) == BooleanDimResult(3, want, 3)
+
+
+def test_boolean_dim_of_every_small_poset_is_pinned():
+    # Digest of the results, witnesses included, on the 87 posets of up to 5
+    # elements up to isomorphism, as the per-pair search before the cell sweep
+    # gave them: a witness that moves changes it.
+    results = [boolean_dim(p, d_max=3) for n in range(1, 6) for p in _all_posets_up_to_iso(n)]
+    assert len(results) == 87
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()[:16]
+    assert digest == "2c48a919a2860fe7"
 
 
 def test_boolean_dim_never_exceeds_dm_dimension():

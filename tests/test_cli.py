@@ -18,6 +18,16 @@ def test_grid_core_prints_expected_form():
     assert result.output == "{(0,0),(1,2),(2,1),(3,3)}"
 
 
+@pytest.mark.parametrize("s", ["0", "-1", "-2"])
+def test_grid_core_refuses_s_below_one(tmp_path, s):
+    # s * s would give -s the core of s, under a certificate recording -s.
+    out = tmp_path / "core.json"
+    result = cli.run(["grid", "core", "--s", s, "--out", str(out)])
+    assert (result.exit_code, result.output, result.certificate) == (
+        65, "input error: cores need s >= 1", None)
+    assert not out.exists()
+
+
 def test_ramsey_verify_exit_codes():
     true_run = cli.run(["ramsey", "verify", "--kind", "comparability",
                         "--t", "1", "--r", "2", "--p-chain", "3", "--n", "6"])
@@ -173,6 +183,8 @@ _GUARDED = [
     (["bdim", "compute", "missing.poset"], "--guard-elements", "--guard-elements"),
     (["bdim", "compute", "missing.poset"], "--d-max", "--d-max"),
     (["poset", "extensions", "missing.poset"], "--cap", "--cap"),
+    (["graph", "refute", "--host", "missing.graph", "--pattern", "missing.graph"],
+     "--max-colors", "--max-colors"),
 ]
 
 
@@ -355,6 +367,21 @@ def test_poset_extensions_guard_is_inconclusive(tmp_path):
     save_poset(path, Poset([0] * 14))
     result = cli.run(["poset", "extensions", str(path), "--cap", "12"])
     assert result.exit_code == 2
+
+
+def test_a_coloring_file_listing_a_key_twice_is_bad_input(tmp_path):
+    # Every comparable pair of 2^2 once, then the first one again in another color.
+    pairs = [[[0, 0], [0, 1]], [[0, 0], [1, 0]], [[0, 0], [1, 1]], [[0, 1], [1, 1]],
+             [[1, 0], [1, 1]], [[0, 0], [0, 1]]]
+    assignment = [[pair, 1 + i % 2] for i, pair in enumerate(pairs)]
+    path = _write(tmp_path / "c.json", {"kind": "coloring", "coloring_kind": "comparability",
+                                        "n": 2, "t": 2, "r": 2, "assignment": assignment})
+    out = tmp_path / "reduced.coloring"
+    result = cli.run(["ramsey", "reduce", "--from", "comparability", "--n", "2",
+                      "--coloring", path, "--out", str(out)])
+    assert (result.exit_code, result.output, result.certificate) == (
+        65, f"input error: {path}: key [[0,0],[0,1]] is listed twice", None)
+    assert not out.exists()
 
 
 def test_ramsey_reduce_writes_coloring(tmp_path):

@@ -130,13 +130,35 @@ def test_load_coloring_refuses_a_malformed_coordinate_as_grid_index_does(
                                      [{}, [2, 2]]])
 def test_load_coloring_reads_keys_as_grid_index_does(tmp_path, kind, raw_key):
     # A coordinate list of the wrong length misses the coordinate table and is
-    # read by g.index, as it always was; so is a dict, which reads as ().
+    # read by g.index, as it always was; so is a dict, which reads as (). The
+    # other entry of the key that the edited one now names is dropped, since a
+    # key listed twice is refused.
     path, g = tmp_path / "c.coloring", grid(3, 2)
-    want = {}
-    for raw, color in _coloring_file_with(path, kind, raw_key)["assignment"]:
+    payload = _coloring_file_with(path, kind, raw_key)
+
+    def read(raw):
         a, b = (g.index(tuple(c)) for c in raw)
-        want[(a, b) if kind == KIND_COMPARABILITY else tuple(sorted((a, b)))] = color
+        return (a, b) if kind == KIND_COMPARABILITY else tuple(sorted((a, b)))
+
+    payload["assignment"] = [item for i, item in enumerate(payload["assignment"])
+                             if i == 4 or read(item[0]) != read(raw_key)]
+    path.write_text(json.dumps(payload))
+    want = {read(raw): color for raw, color in payload["assignment"]}
     assert list(load_coloring(path, g).assignment.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("kind, first, again", [
+    (KIND_COMPARABILITY, [[0, 0], [0, 1]], [[0, 0], [0, 1]]),
+    (KIND_SUBPOSET, [[0, 0], [0, 1]], [[0, 1], [0, 0]]),  # one key, read sorted
+])
+def test_load_coloring_refuses_a_key_listed_twice(tmp_path, kind, first, again):
+    path = tmp_path / "c.coloring"
+    path.write_text(json.dumps({"format_version": 1, "kind": "coloring", "coloring_kind": kind,
+                                "n": 2, "t": 2, "r": 2,
+                                "assignment": [[first, 1], [[[0, 0], [1, 1]], 1], [again, 2]]}))
+    with pytest.raises(InvalidInput) as info:
+        load_coloring(path, grid(2, 2))
+    assert str(info.value) == f"{path}: key {canonical_json(again)} is listed twice"
 
 
 def test_subgrid_coloring_round_trip(tmp_path):
