@@ -11,7 +11,7 @@ x < y with other pairs, and S is then the signatures of the cells of x < y.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, permutations
 from typing import Optional, Sequence
 
 from .errors import ContractViolation, GuardExceeded, Record
@@ -135,8 +135,9 @@ def boolean_dim(p: Poset, d_max: int = 4,
 
     Search over permutation d-tuples with three sound symmetry cuts: every
     axis may be replaced by its dual (signatures complement bitwise), axes
-    commute (tuples are sorted multisets), and relabeling by an automorphism
-    acts diagonally (the first axis is pinned to orbit minima).
+    commute and a repeated one splits no cell (tuples are sorted sets, a
+    repeat's tuple without it tried at a smaller d), and relabeling by an
+    automorphism acts diagonally (the first axis is pinned to orbit minima).
     """
     if p.n > guard_elements:
         raise GuardExceeded(f"Boolean dimension search capped at {guard_elements} elements")
@@ -152,7 +153,7 @@ def boolean_dim(p: Poset, d_max: int = 4,
     for d in range(1, d_max + 1):
         for first in reps:
             prefix = None
-            for rest in combinations_with_replacement(range(first, len(perms)), d - 1):
+            for rest in combinations(range(first + 1, len(perms)), d - 1):
                 chosen = (first, *rest)
                 if chosen[:-1] != prefix:
                     # A split keeps a pure cell pure: only mixed ones can fail.

@@ -523,7 +523,11 @@ def _refuse_verify(path, command) -> None:
 
 
 def _cmd_acceptance(args, argv) -> RunResult:
-    from .acceptance import DEFAULT_SEED, run_acceptance
+    from .acceptance import CRITERIA, DEFAULT_SEED, run_acceptance
+    unknown = set(args.criterion or ()) - CRITERIA.keys()
+    if unknown:
+        raise _UsageError(f"argument --criterion: no criterion {min(unknown)} "
+                          f"(choose from 1..{max(CRITERIA)})")
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     results = run_acceptance(seed=seed, only=args.criterion)
     lines = [r.line() for r in results]

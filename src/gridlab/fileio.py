@@ -159,7 +159,7 @@ def _key_reader(kind: str, g: GridPoset):
 
     Coordinates are looked up in one table per call; one the table misses,
     or an unhashable one, is read by ``g.index``, which refuses it with its
-    message.
+    message. A comparability key must be a pair a < b of ``g``.
     """
     if kind == KIND_SUBGRID:
         return lambda raw: tuple(tuple(axis) for axis in raw)
@@ -173,9 +173,14 @@ def _key_reader(kind: str, g: GridPoset):
         except (KeyError, TypeError):  # TypeError: a list coordinate, say
             return g.index(c)
 
+    up = g.up
+
     def pair(raw):
         a, b = raw
-        return (index(a), index(b))
+        a, b = index(a), index(b)
+        if a >= len(up) or not up[a] >> b & 1:  # g.index reads a long coordinate list past g
+            raise ContractViolation(f"key {canonical_json(raw)} is not a comparable pair a < b")
+        return a, b
 
     return pair if kind == KIND_COMPARABILITY else lambda raw: tuple(sorted(map(index, raw)))
 

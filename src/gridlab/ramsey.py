@@ -615,8 +615,8 @@ def box_symmetry(sides: Sequence[int]) -> Symmetry:
 
 
 def search_counterexample(num_keys: int, structures: Sequence[tuple[int, ...]], r: int,
-                          node_guard: int = NODE_GUARD,
-                          symmetry: Optional[Symmetry] = None) -> Optional[tuple[int, ...]]:
+                          node_guard: int = NODE_GUARD, symmetry: Optional[Symmetry] = None,
+                          workers: int = 1) -> Optional[tuple[int, ...]]:
     """A coloring of 0..num_keys-1 leaving no structure monochromatic, or None.
 
     Each structure is a tuple of keys; a repeated key counts once. Deterministic:
@@ -644,8 +644,30 @@ def search_counterexample(num_keys: int, structures: Sequence[tuple[int, ...]], 
     A ``symmetry`` declares a group of key permutations that maps the
     structures onto themselves; the search then also breaks it (see
     ``Symmetry``).
+
+    With ``workers`` > 1 the frontier past ``_HANDOFF`` nodes goes to
+    ``_parallel_counterexample``; a search that ends sooner starts no pool.
     """
-    return next(_Engine(num_keys, structures, r, symmetry).walk(node_guard))[2]
+    engine = _Engine(num_keys, structures, r, symmetry)
+    if not all(structures):
+        return None  # an empty structure is monochromatic under every coloring
+    shards = []  # (the walk's nodes before the shard, its state)
+    try:
+        for top, state, colors in engine.walk(node_guard, _HANDOFF if workers > 1 else math.inf):
+            if colors is not None and not shards:
+                return colors  # found before the first shard
+            if state is None:
+                break
+            shards.append((top, state))
+            if colors is not None:
+                break  # the serial search ends at its first coloring
+    except _NodeGuard:
+        if not shards:
+            raise  # the serial search's own guard
+        top = node_guard + 1  # the frontier after the shards runs past the guard
+    if not shards:
+        return None  # the serial search ended without one
+    return _parallel_counterexample(engine, shards, top, node_guard, workers)
 
 
 def _structure_bits(num_keys: int, structures) -> tuple[list, list, list]:
@@ -712,7 +734,9 @@ class _Engine:
     path, deepest first. Then it yields ``(nodes, None, None)``. ``nodes``
     counts the nodes so far. A state is one list of ints: ``assigned`` at 0,
     then ``col[1..r]``, ``forb[1..r]``, ``dead[1..r]`` and ``ge[0..smax]``
-    (see ``search_counterexample``), so ``state[c]`` is ``col[c]``.
+    (see ``search_counterexample``), so ``state[c]`` is ``col[c]``. No
+    coloring makes an empty structure a conflict, so ``search_counterexample``
+    answers an instance holding one before it walks.
 
     With a ``symmetry`` the walk keeps its constraints: a key is branched
     only on the colors they admit, and a state whose propagation colored a
@@ -725,7 +749,6 @@ class _Engine:
     def __init__(self, num_keys: int, structures, r: int,
                  symmetry: Optional[Symmetry] = None):
         self.inputs = num_keys, structures, r, symmetry
-        empty = not all(structures)  # an empty structure is monochromatic under every coloring
         holding, masks, counts = _structure_bits(num_keys, structures)
         if symmetry is not None:
             given = set(masks)
@@ -798,7 +821,7 @@ class _Engine:
         tries, passes = (None, None) if symmetry is None else symmetry.constraints(colors)
 
         def walk(node_guard, handoff=math.inf, state=None):
-            state = state or [-1 if empty else 0] + [0] * (3 * r) + counts
+            state = state or [0] + [0] * (3 * r) + counts
             done = (1 << num_keys) - 1
             # A frame: (the lowest uncolored key, its bit, its colors left to try, the
             # state before it). Only a walk that starts from nothing pins its first key,
@@ -807,7 +830,7 @@ class _Engine:
             assigned = state[0]
             if assigned == done:
                 yield 0, state, coloring(state)
-            elif assigned >= 0:
+            else:
                 low = ~assigned & (assigned + 1)
                 key = low.bit_length() - 1
                 todo = tries(state, key) if tries else colors if assigned else colors[:1]
@@ -872,39 +895,18 @@ def _shard_worker(state, budget: int):
 _HANDOFF = 0x1000
 
 
-def _parallel_counterexample(num_keys: int, structures, r: int,
-                             node_guard: int, workers: int,
-                             symmetry: Optional[Symmetry] = None):
-    """``search_counterexample`` from nothing, its frontier searched in processes.
+def _parallel_counterexample(engine: _Engine, shards: list, top: int,
+                             node_guard: int, workers: int):
+    """``search_counterexample`` past its handoff, in at most ``workers`` processes.
 
-    The serial walk runs here, and a search that ends within ``_HANDOFF``
-    nodes (a coloring, none, or the guard) is the serial one and starts no
-    pool. Past them, each live state the walk reaches is a shard, in serial
-    order: the untried siblings along its path, deepest first. A shard is
-    reached after ``before`` nodes (a coloring completed there is a last
-    shard with nothing to search), and a worker searches it within
-    ``node_guard - before`` nodes. The serial search reaches a shard after
-    its ``before`` plus the earlier shards' nodes, so results are read and
-    summed in shard order: node counts, witnesses and verdicts are the
-    serial ones.
+    Each shard ``(before, state)`` is a live state the serial walk reached
+    after ``before`` nodes, in serial order (a coloring completed there is a
+    last shard with nothing to search); the walk ended after ``top``. A
+    worker searches a shard within ``node_guard - before`` nodes. The serial
+    search reaches a shard after its ``before`` plus the earlier shards'
+    nodes, so results are read and summed in shard order: node counts,
+    witnesses and verdicts are the serial ones.
     """
-    engine = _Engine(num_keys, structures, r, symmetry)
-    shards = []  # (the walk's nodes before the shard, its state)
-    try:
-        for top, state, colors in engine.walk(node_guard, handoff=_HANDOFF):
-            if state is None:
-                break
-            if colors is not None and not shards:
-                return colors  # the serial search found it before the first shard
-            shards.append((top, state))
-            if colors is not None:
-                break  # the serial search ends at its first coloring
-    except _NodeGuard:
-        if not shards:
-            raise  # the serial search's own guard
-        top = node_guard + 1  # the frontier after the shards runs past the guard
-    if not shards:
-        return None  # the serial search ended without one
     nodes = 0  # the shards' nodes so far
     context = multiprocessing.get_context()
     stop = context.Event()
@@ -974,11 +976,7 @@ def run_engine(keys: Sequence, structures, r: int, kind: str,
     broken = "" if symmetry is None else \
         f"lex-leader symmetry breaking over {symmetry.name} x S_{r}"
     try:
-        if workers > 1:
-            colors = _parallel_counterexample(len(keys), structures, r,
-                                              node_guard, workers, symmetry)
-        else:
-            colors = search_counterexample(len(keys), structures, r, node_guard, symmetry)
+        colors = search_counterexample(len(keys), structures, r, node_guard, symmetry, workers)
     except GuardExceeded as exc:
         return Verdict("inconclusive", reason="; ".join(filter(None, [str(exc), broken])))
     if colors is None:
@@ -992,10 +990,13 @@ def verify_comparability_ramsey(p: Poset, q: Poset, r: int, *,
                                 workers: int = 1) -> Verdict:
     """True iff every r-coloring of q's comparabilities has a mono copy of p."""
     keys = comparability_keys(q)
-    structures = index_structures(keys, (
-        [(a, b) if q.lt(a, b) else (b, a)
-         for a, b in combinations(elements, 2) if q.comparable(a, b)]
-        for elements in enumerate_induced_copy_sets(q, p)))
+    try:
+        structures = index_structures(keys, (
+            [(a, b) if q.lt(a, b) else (b, a)
+             for a, b in combinations(elements, 2) if q.comparable(a, b)]
+            for elements in enumerate_induced_copy_sets(q, p)))
+    except GuardExceeded as exc:
+        return Verdict("inconclusive", reason=str(exc))
     # On a chain the keys are K_n's edges, and every permutation of the
     # elements maps the copies of p onto copies of p.
     symmetry = vertex_symmetry(q.n) if keys == tuple(combinations(range(q.n), 2)) else None

@@ -6,6 +6,7 @@ from itertools import permutations
 
 import pytest
 
+from gridlab import booldim
 from gridlab.acceptance import _all_posets_up_to_iso
 from gridlab.booldim import (
     BooleanDimResult,
@@ -145,6 +146,23 @@ def test_boolean_dim_of_the_standard_example_s3():
     want = BooleanRealizer(((0, 1, 5, 2, 3, 4), (0, 2, 4, 1, 3, 5), (1, 2, 3, 0, 4, 5)),
                            frozenset({"111"}))
     assert boolean_dim(s3, d_max=3) == BooleanDimResult(3, want, 3)
+
+
+def test_boolean_dim_never_splits_cells_by_an_order_twice(monkeypatch):
+    # A repeated order cuts the pairs as the tuple without it, which was tried
+    # at a smaller d.
+    splits = []
+    cells = booldim._cells
+
+    def recorder(bits, start):
+        splits.append(list(bits))
+        return cells(bits, start)
+
+    monkeypatch.setattr(booldim, "_cells", recorder)
+    s3 = Poset.from_lt_pairs(6, [(i, 3 + j) for i in range(3) for j in range(3) if i != j])
+    assert boolean_dim(s3, d_max=3).dim == 3
+    assert any(len(bits) == 2 for bits in splits)
+    assert all(len(set(bits)) == len(bits) for bits in splits)
 
 
 def test_boolean_dim_of_every_small_poset_is_pinned():

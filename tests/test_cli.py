@@ -5,8 +5,9 @@ import json
 import pytest
 
 from gridlab import cli
-from gridlab.fileio import (certificate_digest, make_certificate, save_certificate,
-                            save_graph, save_poset)
+from gridlab.booldim import boolean_dim
+from gridlab.fileio import (certificate_digest, make_certificate, save_boolean_realizer,
+                            save_certificate, save_graph, save_poset)
 from gridlab.graphs import Graph
 from gridlab.grids import grid
 from gridlab.poset import Poset, make_chain
@@ -171,6 +172,22 @@ def test_a_zero_time_limit_is_inconclusive():
     assert result.exit_code == 2 and "time limit exceeded" in result.output
 
 
+def test_a_time_limit_in_the_comparability_build_writes_a_certificate(tmp_path):
+    # The copies of 3^2 in 8^2 are enumerated past an expired limit: the
+    # verdict is inconclusive, and a search keeps its smaller sizes' statuses.
+    argv = ["ramsey", "verify", "--kind", "comparability", "--t", "2", "--r", "2", "--l", "3",
+            "--n", "8", "--time-limit", "0", "--out", str(tmp_path / "tl.json")]
+    result = cli.run(argv)
+    assert (result.exit_code, result.output) == (
+        2, "verdict: inconclusive\nreason: time limit exceeded")
+    assert json.loads((tmp_path / "tl.json").read_text())["verdict"] == "inconclusive"
+    search = cli.run(["ramsey", "search", "--kind", "comparability", "--t", "2", "--r", "2",
+                      "--l", "3", "--n-max", "8", "--time-limit", "0"])
+    assert (search.exit_code, search.output) == (2, "no n <= 8 (inconclusive)")
+    statuses = search.certificate["witness"]["statuses"]
+    assert statuses["3"] == "false" and list(statuses.values())[-1] == "inconclusive"
+
+
 _GUARDED = [
     (["ramsey", "verify", "--kind", "comparability", "--t", "1", "--r", "2", "--p-chain", "3",
       "--n", "4"], "--guard", "--guard/--guard-colorings"),
@@ -320,6 +337,34 @@ def test_bdim_commands(tmp_path):
     assert "boolean dimension: 2" in result.output
     none_found = cli.run(["bdim", "compute", str(path), "--d-max", "1"])
     assert none_found.exit_code == 1
+
+
+def test_bdim_check_accepts_a_realizer_and_refuses_an_altered_one(tmp_path):
+    poset, realizer = tmp_path / "grid.poset", tmp_path / "br.json"
+    save_poset(poset, grid(2, 2))
+    found = boolean_dim(grid(2, 2), d_max=2).realizer
+    save_boolean_realizer(realizer, found)
+    result = cli.run(["bdim", "check", str(poset), str(realizer)])
+    assert (result.exit_code, result.output) == (0, "valid boolean realizer")
+    payload = json.loads(realizer.read_text())
+    payload["accepted"] = sorted({"00", "01", "10", "11"} - found.accepted)
+    realizer.write_text(json.dumps(payload))
+    result = cli.run(["bdim", "check", str(poset), str(realizer)])
+    assert (result.exit_code, result.output) == (1, "not a boolean realizer")
+
+
+def test_acceptance_runs_one_criterion():
+    result = cli.run(["acceptance", "--criterion", "2"])
+    assert result.exit_code == 0
+    assert result.output.splitlines()[0].startswith("PASS criterion 2: ")
+
+
+@pytest.mark.parametrize("number", ["11", "0", "-1"])
+def test_an_unknown_acceptance_criterion_is_a_usage_error(number):
+    argv = ["acceptance", "--criterion", "2", "--criterion", number]
+    assert cli.run(argv) == cli.RunResult(
+        64, f"usage error: argument --criterion: no criterion {number} (choose from 1..10)")
+    assert cli.main(argv) == 64  # no traceback, no exit 70
 
 
 def test_extension_commands(tmp_path):

@@ -207,6 +207,17 @@ def test_no_colors_leave_no_coloring_of_a_key():
     assert search_counterexample(2, [], 0) is None
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_empty_structure_leaves_no_counterexample(workers):
+    assert search_counterexample(0, [()], 2, workers=workers) is None
+    assert search_counterexample(3, [(0, 1), ()], 2, workers=workers) is None
+    # Bad keys and bad symmetry declarations are refused first.
+    with pytest.raises(IndexError):
+        search_counterexample(3, [(), (0, 5)], 2, workers=workers)
+    with pytest.raises(ContractViolation, match="not invariant under S_2"):
+        search_counterexample(2, [(), (1,)], 2, symmetry=box_symmetry((2,)), workers=workers)
+
+
 def _cells6(guard=10 ** 6, workers=1):
     return verify_grid_ramsey(KIND_SUBGRID, 2, 3, 1, 2, 6, node_guard=guard, workers=workers)
 
@@ -271,7 +282,7 @@ def test_parallel_search_matches_the_serial_search(instance):
     serial = _outcome(search_counterexample, num_keys, structures, r, guard)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ramsey, "_HANDOFF", handoff)
-        parallel = _outcome(ramsey._parallel_counterexample, num_keys, structures, r, guard, 2)
+        parallel = _outcome(search_counterexample, num_keys, structures, r, guard, workers=2)
     assert parallel == serial
 
 
@@ -302,7 +313,7 @@ def test_the_pool_is_never_larger_than_the_shards_or_cpus(monkeypatch, num_keys,
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     _RefusingPool.sizes.clear()
     with pytest.raises(RuntimeError, match="no pool"):
-        ramsey._parallel_counterexample(num_keys, structures, 2, 1000, workers)
+        search_counterexample(num_keys, structures, 2, 1000, workers=workers)
     assert _RefusingPool.sizes == [size]
 
 
@@ -313,9 +324,9 @@ def test_a_frontier_without_shards_starts_no_pool(monkeypatch):
     # Key 1 dies in both colors, so the walk passes the handoff at node 2 and
     # ends after 3 nodes with no live state past it: the serial search.
     triangle = [(1, 2), (1, 3), (2, 3)]
-    assert ramsey._parallel_counterexample(5, triangle, 2, 3, 2) is None
+    assert search_counterexample(5, triangle, 2, 3, workers=2) is None
     with pytest.raises(GuardExceeded, match="node guard 2 at depth 1/5$"):
-        ramsey._parallel_counterexample(5, triangle, 2, 2, 2)
+        search_counterexample(5, triangle, 2, 2, workers=2)
     assert _RefusingPool.sizes == []
 
 
@@ -379,8 +390,8 @@ def test_shard_accounting_at_every_guard(monkeypatch, verify, finish, found):
         for handoff in range(finish + 1):
             monkeypatch.setattr(ramsey, "_HANDOFF", handoff)
             for workers in (2, 4):
-                assert _outcome(ramsey._parallel_counterexample, num_keys, structures, r,
-                                guard, workers, symmetry) == serial, (guard, handoff, workers)
+                assert _outcome(search_counterexample, num_keys, structures, r, guard,
+                                symmetry, workers) == serial, (guard, handoff, workers)
     assert (serial is not None) == found
 
 
@@ -759,6 +770,16 @@ def test_subposet_hull_lookup_keeps_the_time_limit(monkeypatch):
     monkeypatch.setattr(ramsey, "run_engine", lambda *args, **kwargs: pytest.fail("built"))
     with ramsey.time_limit(0):
         verdict = verify_grid_ramsey(KIND_SUBPOSET, 2, 2, 1, 2, 4)
+    assert (verdict.status, verdict.reason) == ("inconclusive", "time limit exceeded")
+
+
+def test_the_comparability_build_keeps_the_time_limit(monkeypatch):
+    # The copies of 2^2 in 6^2 are enumerated before any structure reaches the
+    # engine; an expired limit there is an inconclusive verdict, as in the
+    # subposet kind's build.
+    monkeypatch.setattr(ramsey, "run_engine", lambda *args, **kwargs: pytest.fail("built"))
+    with ramsey.time_limit(0):
+        verdict = verify_comparability_ramsey(grid(2, 2), grid(6, 2), 2)
     assert (verdict.status, verdict.reason) == ("inconclusive", "time limit exceeded")
 
 

@@ -132,7 +132,8 @@ def test_load_coloring_reads_keys_as_grid_index_does(tmp_path, kind, raw_key):
     # A coordinate list of the wrong length misses the coordinate table and is
     # read by g.index, as it always was; so is a dict, which reads as (). The
     # other entry of the key that the edited one now names is dropped, since a
-    # key listed twice is refused.
+    # key listed twice is refused. A comparability key that g.index reads as no
+    # comparable pair of g is refused: [1, 0, 2] reads as 11, past 3^2.
     path, g = tmp_path / "c.coloring", grid(3, 2)
     payload = _coloring_file_with(path, kind, raw_key)
 
@@ -143,8 +144,36 @@ def test_load_coloring_reads_keys_as_grid_index_does(tmp_path, kind, raw_key):
     payload["assignment"] = [item for i, item in enumerate(payload["assignment"])
                              if i == 4 or read(item[0]) != read(raw_key)]
     path.write_text(json.dumps(payload))
+    if kind == KIND_COMPARABILITY and not g.lt(*read(raw_key)):
+        with pytest.raises(InvalidInput) as info:
+            load_coloring(path, g)
+        assert str(info.value) == \
+            f"{path}: key {canonical_json(raw_key)} is not a comparable pair a < b"
+        return
     want = {read(raw): color for raw, color in payload["assignment"]}
     assert list(load_coloring(path, g).assignment.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("raw_key", [
+    [[0, 1], [0, 0]],  # a comparable pair, reversed
+    [[0, 1], [1, 0]],  # an incomparable pair
+    [[1, 1], [1, 1]],  # an element with itself
+    [[0, 1, 1], [0, 0]],  # [0, 1, 1] reads as 4, past 2^2
+])
+def test_load_coloring_refuses_a_comparability_key_that_is_no_comparable_pair(
+        tmp_path, raw_key):
+    # Every comparable pair of 2^2 is listed, so a key that is none would be
+    # ignored by every use of the coloring.
+    g = grid(2, 2)
+    items = [[[list(g.coords(a)), list(g.coords(b))], 1] for a, b in comparability_keys(g)]
+    path = tmp_path / "c.coloring"
+    path.write_text(json.dumps({"format_version": 1, "kind": "coloring",
+                                "coloring_kind": KIND_COMPARABILITY, "n": 2, "t": 2, "r": 2,
+                                "assignment": items + [[raw_key, 2]]}))
+    with pytest.raises(InvalidInput) as info:
+        load_coloring(path, g)
+    assert str(info.value) == \
+        f"{path}: key {canonical_json(raw_key)} is not a comparable pair a < b"
 
 
 @pytest.mark.parametrize("kind, first, again", [

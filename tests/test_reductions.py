@@ -495,6 +495,21 @@ def test_reduce_rejects_a_coloring_file_with_non_integer_colors_or_r(tmp_path, f
     assert "integer" in result.output
 
 
+def test_reduce_rejects_a_coloring_file_with_keys_that_are_no_comparable_pairs(tmp_path):
+    # Every comparable pair of 2^2, then a reversed one and an incomparable one,
+    # which the reduction would ignore.
+    path, g = tmp_path / "coloring.json", grid(2, 2)
+    save_coloring(path, MapColoring(KIND_COMPARABILITY, 2,
+                                    {k: 1 for k in comparability_keys(g)}), g)
+    payload = json.loads(path.read_text())
+    payload["assignment"] += [[[[0, 1], [0, 0]], 1], [[[0, 1], [1, 0]], 2]]
+    path.write_text(json.dumps(payload))
+    result = cli.run(_REDUCE + ["comparability", "--n", "2", "--coloring", str(path)])
+    assert (result.exit_code, result.certificate) == (65, None)
+    assert result.output == \
+        f"input error: {path}: key [[0,1],[0,0]] is not a comparable pair a < b"
+
+
 @pytest.mark.parametrize("m", ["-1", "0"])
 def test_reduce_cli_rejects_m_below_one(m):
     result = cli.run(_REDUCE + ["subposet", "--n", "9", "--m", m])

@@ -42,17 +42,18 @@ def test_adapters_share_the_threshold_scan(search, first, threshold, guarded):
 
 def test_partition_search_honours_workers(monkeypatch):
     calls = []
-    parallel = ramsey._parallel_counterexample
+    search = ramsey.search_counterexample
 
-    def recorder(num_keys, structures, r, node_guard, workers, symmetry):
+    def recorder(num_keys, structures, r, node_guard, symmetry, workers):
         calls.append(workers)
-        return parallel(num_keys, structures, r, node_guard, workers, symmetry)
+        return search(num_keys, structures, r, node_guard, symmetry, workers)
 
-    monkeypatch.setattr(ramsey, "_parallel_counterexample", recorder)
+    monkeypatch.setattr(ramsey, "search_counterexample", recorder)
     serial = partition_ramsey_search(2, 3, 2, 7)
-    assert calls == []
+    assert calls == [1, 1, 1, 1]  # k = 3, 4, 5, 6
+    calls.clear()
     sharded = partition_ramsey_search(2, 3, 2, 7, workers=2)
-    assert calls == [2, 2, 2, 2]  # k = 3, 4, 5, 6
+    assert calls == [2, 2, 2, 2]
     assert (sharded.found, sharded.status) == (6, "found")
     cex = sharded.counterexamples()
     assert {k: c.kind for k, c in cex.items()} == dict.fromkeys([3, 4, 5], KIND_PARTITION)
