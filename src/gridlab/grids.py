@@ -58,6 +58,8 @@ class GridPoset(Poset):
         return tuple(reversed(out))
 
     def index(self, coords: Sequence[int]) -> int:
+        if len(coords) != self.t:
+            raise ContractViolation(f"expected {self.t} coordinates, got {len(coords)}")
         idx = 0
         for c in coords:
             if not 0 <= c < self.k:

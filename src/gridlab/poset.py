@@ -11,7 +11,7 @@ immutable and safe for concurrent reads.
 
 from __future__ import annotations
 
-import math
+import sys
 from functools import reduce
 from operator import and_, le
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
@@ -20,6 +20,7 @@ from .errors import ContractViolation, GuardExceeded, Record
 
 EXTENSION_CAP = 12
 ISO_CAP = 16
+_CLOCK = 4096  # nodes between two calls of an embedding search's ``periodic``
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -462,40 +463,57 @@ def induced_embeddings(order: Sequence[int],
     if k == 0:
         yield ()
         return 0
-    limit = math.inf if guard_nodes is None else guard_nodes
+    limit = sys.maxsize if guard_nodes is None else guard_nodes
+    tick = min(limit + 1, _CLOCK)  # the next node at which the guard or the clock is due
     image = [-1] * k
-    pending = [0] * k
-    pending[0] = allowed[0]
+    pending = [0] * k  # per step, the candidates left after the one placed
+    lows = [0] * k  # per step, the bit of the host element placed
+    last = k - 1
+    x_last = order[last]
     used = 0
     nodes = 0
     step = 0
-    last = k - 1
+    mask = allowed[0]
     while True:
-        mask = pending[step]
-        if not mask:
-            if step == 0:
-                return nodes
-            step -= 1
-            used ^= 1 << image[order[step]]
-            continue
-        low = mask & -mask
-        pending[step] = mask ^ low
-        cand = low.bit_length() - 1
-        nodes += 1
-        if nodes > limit:
-            raise GuardExceeded(guard_message)
-        if periodic is not None and not nodes & 0xFFF:
-            periodic()
-        image[order[step]] = cand
         if step == last:
-            yield tuple(image)
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                nodes += 1
+                if nodes >= tick:
+                    tick = _due(nodes, limit, guard_message, periodic)
+                image[x_last] = low.bit_length() - 1
+                yield tuple(image)
+        elif mask:
+            low = mask & -mask
+            pending[step] = mask ^ low
+            lows[step] = low
+            nodes += 1
+            if nodes >= tick:
+                tick = _due(nodes, limit, guard_message, periodic)
+            image[order[step]] = low.bit_length() - 1
+            used |= low
+            step += 1
+            mask = allowed[step] & ~used
+            for y, table in checks[step]:
+                mask &= table[image[y]]
             continue
-        used |= low
-        step += 1
-        mask = allowed[step] & ~used
-        for y, table in checks[step]:
-            mask &= table[image[y]]
-        pending[step] = mask
+        if not step:
+            return nodes
+        step -= 1
+        used ^= lows[step]
+        mask = pending[step]
+
+
+def _due(nodes: int, limit: int, guard_message: str,
+         periodic: Optional[Callable[[], None]]) -> int:
+    """At a node where ``induced_embeddings``'s guard or clock is due: raise
+    past the guard, else run ``periodic``; the next such node."""
+    if nodes > limit:
+        raise GuardExceeded(guard_message)
+    if periodic is not None:
+        periodic()
+    return min(limit + 1, nodes + _CLOCK)
 
 
 def order_checks(p: Poset, order: Sequence[int], host: Poset,
@@ -506,13 +524,31 @@ def order_checks(p: Poset, order: Sequence[int], host: Poset,
 
     The image of x must lie above, below or incomparable to the image of
     each earlier y as x does to y in p; ``inc``, ``up`` and ``dn`` narrow
-    the host's rows.
+    the host's rows. On the host's own ``up`` and ``dn`` rows, a check of
+    y < x is dropped when some z placed before x has y < z < x, and one of
+    x < y when some such z has x < z < y: the host's order is transitive,
+    so the checks against z already imply it. Rows passed as ``up`` or
+    ``dn``, such as one color's pairs, need not be transitive and keep
+    every check; so do the incomparability checks.
     """
+    transitive = up is None and dn is None
     inc = host.inc if inc is None else inc
     up = host.up if up is None else up
     dn = host.dn if dn is None else dn
-    return [[(y, up if p.lt(y, x) else dn if p.lt(x, y) else inc)
-             for y in order[:s]] for s, x in enumerate(order)]
+    out = []
+    placed = 0
+    for s, x in enumerate(order):
+        below, above = p.dn[x] & placed, p.up[x] & placed
+        implied = 0
+        if transitive:
+            for z in iter_bits(below):
+                implied |= p.dn[z]
+            for z in iter_bits(above):
+                implied |= p.up[z]
+        out.append([(y, up if below >> y & 1 else dn if above >> y & 1 else inc)
+                    for y in order[:s] if not implied >> y & 1])
+        placed |= 1 << x
+    return out
 
 
 def orbit_checks(p: Poset, order: Sequence[int], host_n: int

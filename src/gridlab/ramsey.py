@@ -448,13 +448,14 @@ def _copy_search(q: Poset, p: Poset, within: Optional[Sequence[int]],
     allowed = (1 << q.n) - 1 if within is None else sum(1 << e for e in set(within))
     orbits = orbit_checks(p, steps, q.n) if one_per_orbit else [[]] * p.n
 
-    def search(up: Sequence[int], dn: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    def search(up: Optional[Sequence[int]] = None,
+               dn: Optional[Sequence[int]] = None) -> Iterator[tuple[int, ...]]:
         checks = [c + o for c, o in zip(order_checks(p, steps, q, up=up, dn=dn), orbits)]
         return induced_embeddings(steps, checks, [allowed] * p.n, guard_nodes,
                                   "copy search exceeded its node guard", _check_deadline)
 
     if coloring is None or not p.relation_count():
-        return search(q.up, q.dn)
+        return search()
     ups = _color_tables(q.up, True, allowed, coloring)
     dns = _color_tables(q.dn, False, allowed, coloring)
     return merge(*map(search, ups, dns))

@@ -8,6 +8,7 @@ from math import factorial, prod
 
 import pytest
 
+from gridlab import ramsey
 from gridlab.cli import run
 from gridlab.errors import ContractViolation, GuardExceeded
 from gridlab.fileio import certificate_digest
@@ -26,6 +27,7 @@ from gridlab.ramsey import (
     FunctionColoring,
     MapColoring,
     _copy_search,
+    _tie_free_cube_embeddings,
     cube_trace_type,
     enumerate_induced_copy_sets,
     enumerate_tie_free_cube_copies,
@@ -332,6 +334,102 @@ def test_tie_free_copies_are_the_tie_free_subset_of_all_copies(n):
 
 def test_empty_pattern_has_one_embedding():
     assert list(induced_embeddings((), (), ())) == [()]
+
+
+def _walk(search):
+    """The yields of a kernel search and the node count it returns."""
+    images = []
+    while True:
+        try:
+            images.append(next(search))
+        except StopIteration as done:
+            return images, done.value
+
+
+# The kernel's accounting: the nodes it returns, where its guard fires and
+# when its clock runs are part of what callers see, and stay put.
+@pytest.mark.parametrize("search, yields, nodes", [
+    (lambda: _copy_search(grid(7, 2), grid(2, 2), None, None, NODE_GUARD, True), 15876, 19796),
+    (lambda: _copy_search(grid(3, 3), grid(2, 3), None, None, NODE_GUARD, True), 1331, 5575),
+    (lambda: _copy_search(make_chain(16), make_chain(3), None, None, NODE_GUARD, True),
+     560, 696),
+    (lambda: _tie_free_cube_embeddings(grid(4, 3), NODE_GUARD), 64, 5569),
+])
+def test_kernel_node_counts_are_pinned(search, yields, nodes):
+    images, visited = _walk(search())
+    assert (len(images), visited) == (yields, nodes)
+
+
+def test_the_clock_runs_every_4096_nodes(monkeypatch):
+    # 19,796 nodes: the clock runs at nodes 4,096, 8,192, 12,288 and 16,384.
+    seen = []
+    monkeypatch.setattr(ramsey, "_check_deadline", lambda: seen.append(len(images)))
+    images = []
+    for image in _copy_search(grid(7, 2), grid(2, 2), None, None, NODE_GUARD, True):
+        images.append(image)
+    assert seen == [3571, 6911, 10291, 13525]
+
+
+@pytest.mark.parametrize("guard, yields, clock", [(19795, 15876, 4), (19796, None, 4),
+                                                  (100, 94, 0)])
+def test_the_copy_guard_fires_past_its_node(monkeypatch, guard, yields, clock):
+    # The clock runs at its own nodes only, never at the guard's.
+    seen = []
+    monkeypatch.setattr(ramsey, "_check_deadline", lambda: seen.append(None))
+    images = []
+    search = _copy_search(grid(7, 2), grid(2, 2), None, None, guard, True)
+    if yields is None:
+        assert len(list(search)) == 15876
+    else:
+        with pytest.raises(GuardExceeded, match="copy search"):
+            for image in search:
+                images.append(image)
+        assert len(images) == yields
+    assert len(seen) == clock
+
+
+def test_a_one_element_pattern_takes_each_allowed_element():
+    assert _walk(induced_embeddings([0], [[]], [0b1011])) == ([(0,), (1,), (3,)], 3)
+    images = []
+    with pytest.raises(GuardExceeded):
+        for image in induced_embeddings([0], [[]], [0b1011], guard_nodes=2):
+            images.append(image)
+    assert images == [(0,), (1,)]
+
+
+def _every_pair_checks(p, order, q, inc):
+    return [[(y, q.up if p.lt(y, x) else q.dn if p.lt(x, y) else inc) for y in order[:s]]
+            for s, x in enumerate(order)]
+
+
+def test_order_checks_search_as_every_pair_checks_do():
+    rng = random.Random(17)
+    hosts = [grid(3, 2), grid(4, 2), grid(2, 3), grid(7, 1)]
+    for _ in range(150):
+        p = _random_poset(rng.randint(1, 5), rng, density=rng.choice([0.3, 0.6]))
+        q = rng.choice(hosts + [_random_poset(rng.randint(p.n, 8), rng, density=0.5)])
+        order = rng.sample(range(p.n), p.n)
+        allowed = [rng.getrandbits(q.n) | rng.getrandbits(q.n) for _ in order]
+        # Narrowed incomparability rows, as the tie-free search passes.
+        inc = q.inc if rng.random() < 0.5 else [row & rng.getrandbits(q.n) for row in q.inc]
+        assert _walk(induced_embeddings(order, order_checks(p, order, q, inc), allowed)) == \
+            _walk(induced_embeddings(order, _every_pair_checks(p, order, q, inc), allowed))
+
+
+def test_order_checks_drop_the_pairs_transitivity_implies():
+    # Of the 28 pairs of 2^3, the 7 comparable pairs that are no cover; of the
+    # top of 2^2's 3 pairs, the one with the bottom.
+    assert sum(map(len, order_checks(grid(2, 3), range(8), grid(3, 3)))) == 21
+    assert [len(c) for c in order_checks(grid(2, 2), range(4), grid(3, 2))] == [0, 1, 2, 2]
+    # Rows passed in, such as one color's, keep every check.
+    q = grid(3, 2)
+    assert sum(map(len, order_checks(grid(2, 3), range(8), q, up=q.up, dn=q.dn))) == 28
+
+
+def test_a_colored_copy_needs_every_pair_in_its_color():
+    # (0, 1) and (1, 2) share color 1, but (0, 2), implied by them, is color 2.
+    c = MapColoring(KIND_COMPARABILITY, 2, {(0, 1): 1, (1, 2): 1, (0, 2): 2})
+    assert find_monochromatic_copy(make_chain(3), make_chain(3), c) is None
 
 
 def test_node_guards_fire():

@@ -70,6 +70,13 @@ def test_grid_coord_round_trip():
     assert g.proj(1, g.index((2, 1, 0))) == 1
 
 
+@pytest.mark.parametrize("coords", [(1, 0, 2), (1,), ()])
+def test_grid_index_refuses_a_coordinate_list_of_the_wrong_length(coords):
+    # Read digit by digit, (1, 0, 2) would be element 11 of the 9-element 3^2.
+    with pytest.raises(ContractViolation, match=f"expected 2 coordinates, got {len(coords)}"):
+        grid(3, 2).index(coords)
+
+
 def test_subgrid_enumeration_counts():
     assert sum(1 for _ in enumerate_subgrids(3, 2, 2)) == 9
     assert sum(1 for _ in enumerate_subgrids(2, 2, 2)) == 1
