@@ -60,11 +60,9 @@ from .ramsey import (
     FunctionColoring,
     MapColoring,
     MonoWitness,
-    Symmetry,
     ThresholdResult,
     Verdict,
     boolean_lattice_embed,
-    box_symmetry,
     comparability_keys,
     enumerate_induced_copy_sets,
     find_monochromatic_copy,
@@ -74,7 +72,6 @@ from .ramsey import (
     min_ramsey_n,
     multicolor_bootstrap,
     random_map_coloring,
-    realizer_type_probe,
     reduce_comparability_to_subgrid,
     reduce_subposet_to_subgrid,
     run_engine,
@@ -83,8 +80,9 @@ from .ramsey import (
     verify_bootstrap_chain,
     verify_comparability_ramsey,
     verify_grid_ramsey,
-    vertex_symmetry,
 )
+from .engine import Symmetry, box_symmetry, vertex_symmetry
+from .probe import realizer_type_probe
 from .booldim import (
     BooleanRealizer,
     boolean_dim,

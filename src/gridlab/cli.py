@@ -20,6 +20,7 @@ import traceback
 from typing import Optional, Sequence
 
 from .booldim import boolean_dim, is_boolean_realizer
+from .engine import NODE_GUARD, time_limit
 from .errors import (
     ContractViolation,
     DomainError,
@@ -42,13 +43,11 @@ from .ramsey import (
     KIND_COMPARABILITY,
     KIND_SUBGRID,
     KIND_SUBPOSET,
-    NODE_GUARD,
     check_core_reduction,
     hash_coloring,
     min_ramsey_n,
     reduce_comparability_product,
     reduce_subposet_product,
-    time_limit,
     verify_at,
 )
 

@@ -159,15 +159,21 @@ def _key_reader(kind: str, g: GridPoset):
 
     Coordinates are looked up in one table per call; one the table misses,
     or an unhashable one, is read by ``g.index``, which refuses it with its
-    message. A comparability key must be a pair a < b of ``g``.
+    message. A float or bool in range is refused first, naming its key: the
+    table would match it by equality. A comparability key must be a pair a < b.
     """
     if kind == KIND_SUBGRID:
         return lambda raw: tuple(tuple(axis) for axis in raw)
     # Index order is lexicographic order on coordinates.
     table = {c: e for e, c in enumerate(product(range(g.k), repeat=g.t))}
 
-    def index(c) -> int:
+    def index(c, raw) -> int:
         c = tuple(c)
+        for v in c:
+            # A str or list raises TypeError at the range test, as in g.index.
+            if type(v) is not int and 0 <= v < g.k:
+                raise ContractViolation(f"key {canonical_json(raw)}: coordinate "
+                                        f"{canonical_json(v)} is not an int")
         try:
             return table[c]
         except (KeyError, TypeError):  # TypeError: a list coordinate, say
@@ -177,12 +183,13 @@ def _key_reader(kind: str, g: GridPoset):
 
     def pair(raw):
         a, b = raw
-        a, b = index(a), index(b)
+        a, b = index(a, raw), index(b, raw)
         if not up[a] >> b & 1:
             raise ContractViolation(f"key {canonical_json(raw)} is not a comparable pair a < b")
         return a, b
 
-    return pair if kind == KIND_COMPARABILITY else lambda raw: tuple(sorted(map(index, raw)))
+    return pair if kind == KIND_COMPARABILITY else \
+        lambda raw: tuple(sorted(index(c, raw) for c in raw))
 
 
 def product_assignment(axes: Sequence[Sequence[tuple]], colors: Sequence[int]

@@ -64,6 +64,8 @@ class GridPoset(Poset):
         for c in coords:
             if not 0 <= c < self.k:
                 raise ContractViolation(f"coordinate {c} outside 0..{self.k - 1}")
+            if type(c) is not int:  # 1.0 and True compare as ints, and 1.5 lies in range
+                raise ContractViolation(f"coordinate {c!r} is not an int")
             idx = idx * self.k + c
         return idx
 

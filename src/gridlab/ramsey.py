@@ -1,6 +1,6 @@
 """Coloring reductions and desk-scale Ramsey searches over grids and posets.
 
-Four kinds of colorings share one engine, ``run_engine``:
+Four kinds of colorings reach ``gridlab.engine`` through ``run_engine``:
 
 * ``comparability`` -- keys are ordered pairs (a, b) with a < b;
 * ``subgrid``       -- keys are m-side subgrids of n^t;
@@ -9,46 +9,42 @@ Four kinds of colorings share one engine, ``run_engine``:
 
 A "structure" is the key set of a candidate monochromatic object. Verifying
 a Ramsey witness means proving no r-coloring leaves every structure
-non-monochromatic; the search backtracks over keys in a fixed deterministic
-order with monochromatic-forcing propagation and first-key color-symmetry
-breaking, and with lex-leader symmetry breaking where the instance declares a
-``Symmetry``: the vertices of K_n where the keys are its edges, and the
-values on each axis of n^t where they are its cells. Guard exhaustion is a
-distinct inconclusive verdict, never False.
+non-monochromatic. This module builds the keys and structures of each kind,
+declares the ``Symmetry`` of the subgrid and chain instances, and reads the
+engine's coloring back as a verdict; guard exhaustion is a distinct
+inconclusive verdict, never False.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import multiprocessing
-import os
-import time
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from functools import lru_cache
 from heapq import merge
-from itertools import chain, combinations, compress, islice, product as iproduct, repeat
+from itertools import chain, combinations, compress, product as iproduct, repeat
 from operator import add, eq, itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
+from .engine import (
+    NODE_GUARD,
+    Symmetry,
+    _check_deadline,
+    box_symmetry,
+    search_counterexample,
+    vertex_symmetry,
+)
 from .errors import ChainStepFailure, ContractViolation, GuardExceeded, Record
 from .grids import GridPoset, Subgrid, grid
 from .poset import (
-    LinearExtension,
     Poset,
-    automorphisms,
     induced_embeddings,
-    induced_subposet,
-    is_isomorphic,
-    is_linear_extension,
-    linear_extensions,
     orbit_checks,
     order_checks,
     order_embedding_violation,
-    realizer_tuples,
 )
+
+# Bound here only because bench/spans.py traces these two through gridlab.ramsey.
+from .engine import _parallel_counterexample
+from .probe import realizer_type_probe
 
 KIND_COMPARABILITY = "comparability"
 KIND_SUBGRID = "subgrid"
@@ -56,40 +52,7 @@ KIND_SUBPOSET = "subposet-copy"
 KIND_PARTITION = "partition"
 
 COPY_GUARD = 2_000_000
-NODE_GUARD = 50_000_000
 STRUCTURE_GUARD = 5_000_000
-
-_DEADLINE: Optional[float] = None
-_STOP = None  # in a shard worker: the event set once its result is not needed
-_ENGINE = None  # in a shard worker: the engine over the instance being sharded
-
-
-class _Stopped(Exception):
-    """A shard worker's search was stopped by its caller."""
-
-
-@contextmanager
-def time_limit(seconds: Optional[float]):
-    """Soft wall-clock guard for the search kernels in this module.
-
-    Firing surfaces as GuardExceeded, i.e. an inconclusive verdict; results
-    that finish within the limit are unaffected and stay deterministic.
-    """
-    global _DEADLINE
-    old = _DEADLINE
-    _DEADLINE = None if seconds is None else time.monotonic() + seconds
-    try:
-        yield
-    finally:
-        _DEADLINE = old
-
-
-def _check_deadline() -> None:
-    if _DEADLINE is not None and time.monotonic() > _DEADLINE:
-        raise GuardExceeded("time limit exceeded")
-    if _STOP is not None and _STOP.is_set():
-        raise _Stopped
-
 
 # -- colorings ----------------------------------------------------------------
 
@@ -236,10 +199,6 @@ def random_map_coloring(kind: str, keys: Iterable, r: int, rng) -> MapColoring:
 def comparability_keys(q: Poset) -> tuple[tuple[int, int], ...]:
     """All ordered pairs (a, b) with a < b in q, sorted by (a, b)."""
     return tuple(q.comparable_pairs())
-
-
-def subposet_copy_key(elements: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(elements))
 
 
 # -- monochromatic witnesses -----------------------------------------------------
@@ -483,456 +442,6 @@ def find_monochromatic_copy(q: Poset, p: Poset, coloring: Coloring,
     for image in _copy_search(q, p, within, coloring, guard_nodes, one_per_orbit=True):
         color = None if pair is None else coloring.color_of((image[pair[0]], image[pair[1]]))
         return MonoWitness(KIND_SUBPOSET, color, elements=image)
-    return None
-
-
-# -- symmetry declarations -----------------------------------------------------------
-
-
-class Symmetry:
-    """A group of key permutations declared to map the structures onto
-    themselves: ``name`` for the verdict's reason, ``generators`` as key
-    permutations (``perm[k]`` is the image of key k), and ``constraints(colors)``
-    returning the walk's ``(tries, passes)``. ``tries(col, k)`` lists the
-    colors key k may take after the keys below it, colored as in ``col``;
-    ``passes(col, k, assigned)`` says whether keys k, k+1, ... below the lowest
-    uncolored key, colored by propagation, keep the constraints. It pickles as
-    the call that built it, so a worker process rebuilds it.
-    """
-
-    def __init__(self, name: str, generators: list[list[int]],
-                 constraints: Callable[[range], tuple], built_by: tuple):
-        self.name = name
-        self.generators = generators
-        self.constraints = constraints
-        self.built_by = built_by
-
-    def __reduce__(self):
-        return self.built_by
-
-
-def _lex_leader(lex: list, colors: range, counted: Optional[int] = None):
-    """The ``(tries, passes)`` of lex-leader constraints in key order, each
-    the least coloring of an orbit compared with one image (README,
-    "Symmetry declarations"):
-
-    * lex: for each ``(p, a, d)`` in ``lex[k]``, if every key in the mask
-      ``a`` has the color of the key d places above it, color(k) >= color(p);
-    * value precedence: a color c > 1 appears only after c-1 has;
-    * at key ``counted`` (the last key of K_n's row 0), no color is used
-      more often in keys 0..counted than the color before it.
-
-    Each reads only keys below k and k's color. Every key below the cursor
-    keeps them, so the colors used below k are 1..m for some m.
-    """
-    r = len(colors)
-
-    def agree(col: list, a: int, d: int) -> bool:
-        """Whether the keys in ``a`` have the colors of those d places above;
-        colors 1..r-1 decide it, since each of these keys has one color."""
-        up = a << d
-        for c in range(1, r):
-            x = col[c]
-            if (x & a) << d != x & up:
-                return False
-        return True
-
-    def color(col: list, k: int) -> int:
-        bit = 1 << k
-        c = 1
-        while not col[c] & bit:
-            c += 1
-        return c
-
-    def counts_fall(col: list, k: int, c: int) -> bool:
-        below = (1 << k) - 1
-        counts = [(col[cc] & below).bit_count() + (cc == c) for cc in colors]
-        return all(x >= y for x, y in zip(counts, counts[1:]))
-
-    def tries(col: list, k: int):
-        below = (1 << k) - 1
-        top = 1
-        while top < r and col[top] & below:
-            top += 1
-        low = 1
-        for p, a, d in lex[k]:
-            c = color(col, p)
-            if c > low and agree(col, a, d):
-                low = c
-        todo = range(low, min(top, r) + 1)
-        return [c for c in todo if counts_fall(col, k, c)] if k == counted else todo
-
-    def passes(col: list, k: int, assigned: int) -> bool:
-        stop = (~assigned & (assigned + 1)).bit_length() - 1
-        for key in range(k, stop):
-            if color(col, key) not in tries(col, key):
-                return False
-        return True
-
-    return tries, passes
-
-
-def _swap_and_cycle(n: int) -> list[list[int]]:
-    """The transposition (0 1) and the cycle (0 1 ... n-1), which generate S_n."""
-    return [[1, 0, *range(2, n)], [*range(1, n), 0]] if n > 1 else []
-
-
-def vertex_symmetry(n: int) -> Symmetry:
-    """S_n on the edges of K_n, key i being the i-th pair of
-    ``combinations(range(n), 2)``. Lex at (v,u), u-1 > v: if columns u-1
-    and u agree on the rows w < v, color(v,u) >= color(v,u-1)."""
-    edges = list(combinations(range(n), 2))
-    index = {edge: i for i, edge in enumerate(edges)}
-    lex = [((index[v, u - 1], sum(1 << index[w, u - 1] for w in range(v)), 1),)
-           if u - 1 > v else () for v, u in edges]
-    generators = [[index[min(p[a], p[b]), max(p[a], p[b])] for a, b in edges]
-                  for p in _swap_and_cycle(n)]
-    return Symmetry(f"S_{n}", generators,
-                    lambda colors: _lex_leader(lex, colors, n - 2),
-                    (vertex_symmetry, (n,)))
-
-
-def box_symmetry(sides: Sequence[int]) -> Symmetry:
-    """S_a x S_b x ... on the cells of a box with these sides, keys in
-    row-major order. Slice lex along axis d at cell x with x_d > 0: if slices
-    x_d-1 and x_d agree on the cells before x, color(x) >= color(x - e_d)."""
-    sides = tuple(sides)
-    strides = [math.prod(sides[d + 1:]) for d in range(len(sides))]
-    cells = list(iproduct(*map(range, sides)))
-    seen = [[0] * side for side in sides]  # per axis and value: the keys so far
-    lex = []
-    for k, x in enumerate(cells):
-        lex.append(tuple((k - s, seen[d][v] >> s, s)
-                         for d, (v, s) in enumerate(zip(x, strides)) if v))
-        for d, v in enumerate(x):
-            seen[d][v] |= 1 << k
-    generators = [[k + (p[x[d]] - x[d]) * strides[d] for k, x in enumerate(cells)]
-                  for d, side in enumerate(sides) for p in _swap_and_cycle(side)]
-    return Symmetry(" x ".join(f"S_{side}" for side in sides), generators,
-                    lambda colors: _lex_leader(lex, colors), (box_symmetry, (sides,)))
-
-
-# -- counterexample-coloring search engine -------------------------------------------
-
-
-def search_counterexample(num_keys: int, structures: Sequence[tuple[int, ...]], r: int,
-                          node_guard: int = NODE_GUARD, symmetry: Optional[Symmetry] = None,
-                          workers: int = 1) -> Optional[tuple[int, ...]]:
-    """A coloring of 0..num_keys-1 leaving no structure monochromatic, or None.
-
-    Each structure is a tuple of keys; a repeated key counts once. Deterministic:
-    keys are branched in index order, colors in increasing order, and the
-    first key is pinned to color 1 (color permutations act on the
-    counterexample space). A node is one attempt of a color not forbidden on
-    its key; past ``node_guard`` nodes the search raises GuardExceeded.
-
-    The state is a few big ints over the keys: ``assigned``, ``col[c]`` (keys
-    colored c) and ``forb[c]`` (keys where c is forbidden), and a few over the
-    structures: the counters ``ge[j]`` (structures with at least j colored
-    keys) and ``dead[c]`` (structures holding a key of a color other than c).
-    A structure of z keys starts at smax - z counted keys, smax being the
-    largest size, so every structure is full at ``ge[smax]`` and has one hole
-    at ``ge[smax - 1]``. The search is an explicit stack of frames, each
-    holding the state it started from, so undoing an attempt is dropping its
-    copy.
-
-    Coloring k with c adds one to the counters of the structures holding k (a
-    bitset over the structures, built once) and marks them dead for every
-    other color. Of those still live for c, a full one is a monochromatic
-    conflict, and one with one hole forbids c at its hole; a hole left with
-    one color takes it, and one left with none is a conflict.
-
-    A ``symmetry`` declares a group of key permutations that maps the
-    structures onto themselves; the search then also breaks it (see
-    ``Symmetry``).
-
-    With ``workers`` > 1 the frontier past ``_HANDOFF`` nodes goes to
-    ``_parallel_counterexample``; a search that ends sooner starts no pool.
-    """
-    engine = _Engine(num_keys, structures, r, symmetry)
-    if not all(structures):
-        return None  # an empty structure is monochromatic under every coloring
-    shards = []  # (the walk's nodes before the shard, its state)
-    try:
-        for top, state, colors in engine.walk(node_guard, _HANDOFF if workers > 1 else math.inf):
-            if colors is not None and not shards:
-                return colors  # found before the first shard
-            if state is None:
-                break
-            shards.append((top, state))
-            if colors is not None:
-                break  # the serial search ends at its first coloring
-    except _NodeGuard:
-        if not shards:
-            raise  # the serial search's own guard
-        top = node_guard + 1  # the frontier after the shards runs past the guard
-    if not shards:
-        return None  # the serial search ended without one
-    return _parallel_counterexample(engine, shards, top, node_guard, workers)
-
-
-def _structure_bits(num_keys: int, structures) -> tuple[list, list, list]:
-    """The engine's tables, built in one pass over the structures: (holding,
-    masks, counts).
-
-    holding[k] is the bitset of the structures holding key k, masks[i] is the
-    key mask of structure i, and counts[j] is the bitset of the structures
-    with at least j keys counted before any is colored, for j in 0..smax: a
-    structure of z distinct keys starts at smax - z. A structure may repeat
-    keys; a key outside 0..num_keys-1 raises.
-    """
-    width = (len(structures) + 7) >> 3
-    holding = [bytearray(width) for _ in range(num_keys)]
-    by_size = {}  # size -> the bitset of the structures of that size, as bytes
-    masks = []
-    for i, keys in enumerate(structures):
-        byte, bit = i >> 3, 1 << (i & 7)
-        mask = 0
-        for k in keys:
-            mask |= 1 << k  # a negative key raises here, before a row read at it wraps
-            holding[k][byte] |= bit
-        masks.append(mask)
-        size = mask.bit_count()
-        if size not in by_size:
-            by_size[size] = bytearray(width)
-        by_size[size][byte] |= bit
-    for k, row in enumerate(holding):
-        holding[k] = int.from_bytes(row, "little")
-    smax = max(by_size, default=0)
-    counts = [(1 << len(structures)) - 1] + [0] * smax
-    below = 0
-    for size in range(smax):
-        below |= int.from_bytes(by_size.get(size, b""), "little")
-        counts[smax - size] = below
-    return holding, masks, counts
-
-
-def _images(perm: list, structures) -> set:
-    """The key masks of the structures' images under ``perm``; a repeated key
-    sets its image's bit once, as in ``_structure_bits``."""
-    bits = [1 << p for p in perm]
-    images = set()
-    for keys in structures:
-        mask = 0
-        for k in keys:
-            mask |= bits[k]
-        images.add(mask)
-    return images
-
-
-class _NodeGuard(GuardExceeded):
-    """The search ran past its node guard."""
-
-
-class _Engine:
-    """``search_counterexample``'s walk over one instance, its tables built once.
-
-    ``walk(node_guard, handoff=math.inf, state=None)`` searches depth first
-    from ``state`` (default: nothing colored). In search order it yields
-    ``(nodes, state, coloring)`` for each complete coloring and, once more
-    than ``handoff`` nodes are spent, ``(nodes, state, None)`` for each live
-    state it reaches, whose subtree it skips: the untried siblings along the
-    path, deepest first. Then it yields ``(nodes, None, None)``. ``nodes``
-    counts the nodes so far. A state is one list of ints: ``assigned`` at 0,
-    then ``col[1..r]``, ``forb[1..r]``, ``dead[1..r]`` and ``ge[0..smax]``
-    (see ``search_counterexample``), so ``state[c]`` is ``col[c]``. No
-    coloring makes an empty structure a conflict, so ``search_counterexample``
-    answers an instance holding one before it walks.
-
-    With a ``symmetry`` the walk keeps its constraints: a key is branched
-    only on the colors they admit, and a state whose propagation colored a
-    key they reject once the cursor passes it is a conflict. Both read only
-    the state, so a shard resumed elsewhere prunes as the serial walk. The
-    declaration is refused with ContractViolation unless each generator maps
-    the structure set onto itself.
-    """
-
-    def __init__(self, num_keys: int, structures, r: int,
-                 symmetry: Optional[Symmetry] = None):
-        self.inputs = num_keys, structures, r, symmetry
-        holding, masks, counts = _structure_bits(num_keys, structures)
-        if symmetry is not None:
-            given = set(masks)
-            for perm in symmetry.generators:
-                if len(perm) != num_keys or min(perm, default=0) < 0 or \
-                        _images(perm, structures) != given:
-                    raise ContractViolation(f"the structures over {num_keys} keys are not "
-                                            f"invariant under {symmetry.name}")
-        colors = range(1, r + 1)
-        ge = 3 * r + 1  # state[ge + j] is ge[j]
-        full = ge + len(counts) - 1  # ge[smax]
-        # For color c: its forb and dead slots, and each other color with its own.
-        slots = [None] + [(r + c, 2 * r + c,
-                           [(cc, r + cc, 2 * r + cc) for cc in colors if cc != c])
-                          for c in colors]
-
-        def propagate(state: list, key: int, color: int) -> bool:
-            """Color key and all that it forces, updating the state in place;
-            False on conflict."""
-            assigned = state[0]
-            queue = [(key, color)]
-            while queue:
-                k, c = queue.pop()
-                bit = 1 << k
-                if assigned & bit:
-                    if state[c] & bit:
-                        continue
-                    return False
-                forb, dead, others = slots[c]
-                forbc = state[forb]
-                if forbc & bit:
-                    return False
-                assigned |= bit
-                state[c] |= bit
-                held = holding[k]
-                # Count k in each structure holding it: ge[j] gains those at j - 1.
-                carry, j = held, ge + 1
-                while carry:
-                    state[j], carry = state[j] | carry, state[j] & held
-                    j += 1
-                for _, _, other_dead in others:
-                    state[other_dead] |= held
-                live = held ^ (held & state[dead])  # with no key of another color
-                if live & state[full]:
-                    return False  # completed monochromatic
-                holes = live & state[full - 1]
-                free = ~assigned
-                while holes:
-                    i = holes.bit_length() - 1
-                    holes ^= 1 << i
-                    hole = masks[i] & free
-                    if forbc & hole:
-                        continue
-                    forbc |= hole
-                    left = 0
-                    for cc, other_forb, _ in others:
-                        if not state[other_forb] & hole:
-                            left = -1 if left else cc
-                    if not left:
-                        return False
-                    if left > 0:
-                        queue.append((hole.bit_length() - 1, left))
-                state[forb] = forbc
-            state[0] = assigned
-            return True
-
-        def coloring(col: list) -> tuple[int, ...]:
-            return tuple(next(c for c in colors if col[c] >> k & 1) for k in range(num_keys))
-
-        tries, passes = (None, None) if symmetry is None else symmetry.constraints(colors)
-
-        def walk(node_guard, handoff=math.inf, state=None):
-            state = state or [0] + [0] * (3 * r) + counts
-            done = (1 << num_keys) - 1
-            # A frame: (the lowest uncolored key, its bit, its colors left to try, the
-            # state before it). Only a walk that starts from nothing pins its first key,
-            # and under symmetry breaking constraint (b) pins it.
-            stack = []
-            assigned = state[0]
-            if assigned == done:
-                yield 0, state, coloring(state)
-            else:
-                low = ~assigned & (assigned + 1)
-                key = low.bit_length() - 1
-                todo = tries(state, key) if tries else colors if assigned else colors[:1]
-                stack.append((key, low, iter(todo), state))
-            nodes = 0
-            while stack:
-                cursor, cbit, todo, before = stack[-1]
-                for c in todo:
-                    if before[r + c] & cbit:
-                        continue
-                    nodes += 1
-                    if nodes > node_guard:
-                        raise _NodeGuard(f"counterexample search exceeded its node guard "
-                                         f"{node_guard} at depth {cursor}/{num_keys}")
-                    if not nodes & 0xFFF:
-                        _check_deadline()
-                    state = before[:]
-                    if propagate(state, cursor, c) and \
-                            (not passes or passes(state, cursor + 1, state[0])):
-                        break
-                else:
-                    stack.pop()
-                    continue
-                assigned = state[0]
-                if assigned == done:
-                    yield nodes, state, coloring(state)
-                elif nodes > handoff:
-                    yield nodes, state, None
-                else:
-                    low = ~assigned & (assigned + 1)
-                    key = low.bit_length() - 1
-                    stack.append((key, low, iter(tries(state, key) if tries else colors), state))
-            yield nodes, None, None
-
-        self.walk = walk
-
-    def __reduce__(self):
-        return _Engine, self.inputs  # rebuilt from its inputs where it is unpickled
-
-
-def _init_shard(deadline: Optional[float], stop, engine: _Engine) -> None:
-    """Pool initializer: the caller's deadline, the shared stop event and the
-    engine, which a worker inherits by fork or else rebuilds once."""
-    global _DEADLINE, _STOP, _ENGINE
-    _DEADLINE, _STOP, _ENGINE = deadline, stop, engine
-
-
-def _shard_worker(state, budget: int):
-    """One shard's (coloring or None, nodes), or (None, budget + 1) past its
-    budget; a time limit or stop raises its own exception."""
-    try:
-        _check_deadline()
-        nodes, _, colors = next(_ENGINE.walk(budget, state=state))
-        return colors, nodes
-    except _NodeGuard:
-        return None, budget + 1
-
-
-# The node count past which a ``--workers`` search hands the frontier of its
-# serial walk to a process pool: the walk's clock-check interval, so a search
-# too short to check the clock forks nothing.
-_HANDOFF = 0x1000
-
-
-def _parallel_counterexample(engine: _Engine, shards: list, top: int,
-                             node_guard: int, workers: int):
-    """``search_counterexample`` past its handoff, in at most ``workers`` processes.
-
-    Each shard ``(before, state)`` is a live state the serial walk reached
-    after ``before`` nodes, in serial order (a coloring completed there is a
-    last shard with nothing to search); the walk ended after ``top``. A
-    worker searches a shard within ``node_guard - before`` nodes. The serial
-    search reaches a shard after its ``before`` plus the earlier shards'
-    nodes, so results are read and summed in shard order: node counts,
-    witnesses and verdicts are the serial ones.
-    """
-    nodes = 0  # the shards' nodes so far
-    context = multiprocessing.get_context()
-    stop = context.Event()
-    size = min(workers, len(shards), os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(size, mp_context=context, initializer=_init_shard,
-                               initargs=(_DEADLINE, stop, engine))
-    try:
-        futures = [pool.submit(_shard_worker, state, node_guard - before)
-                   for before, state in shards]
-        for i, (before, _) in enumerate(shards):
-            result, count = futures[i].result()
-            nodes += count
-            if before + nodes > node_guard:
-                raise GuardExceeded(f"counterexample search exceeded its node guard "
-                                    f"{node_guard} by shard {i + 1}/{len(shards)}")
-            if result is not None:
-                return result
-    finally:
-        # A worker still on a later shard stops at its next clock check; the
-        # answer does not wait for it.
-        stop.set()
-        pool.shutdown(wait=False, cancel_futures=True)
-    if top + nodes > node_guard:
-        raise GuardExceeded(f"counterexample search exceeded its node guard {node_guard} "
-                            f"after its {len(shards)} shards")
     return None
 
 
@@ -1209,161 +718,3 @@ def boolean_lattice_embed(p: Poset) -> BooleanLatticeEmbedding:
     if order_embedding_violation(p, vectors) is not None:
         raise ContractViolation("downset embedding failed validation")
     return BooleanLatticeEmbedding(d, tuple(vectors))
-
-
-# -- realizer-type probe for the t = 3 counterexample idea -----------------------------
-
-
-def _cube() -> GridPoset:
-    return grid(2, 3)
-
-
-@lru_cache(maxsize=None)
-def _cube_pair_maps() -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The cube's incomparable pairs (a, b) as (s[a], s[b]), per s in Aut(2^3)."""
-    cube = _cube()
-    pairs = list(cube.incomparable_pairs())
-    return tuple(tuple((s[a], s[b]) for a, b in pairs) for s in automorphisms(cube))
-
-
-def _trace_type(g3: GridPoset, image: Sequence[int]) -> tuple[tuple, bool]:
-    """``cube_trace_type`` of the embedding ``image``, whose copy's other
-    embeddings are image o s; the least axis permutation sorts the rows."""
-    axes = list(zip(*(g3.coords(e) for e in image)))
-    best = min(tuple(sorted(tuple((v[b] > v[a]) - (v[b] < v[a]) for a, b in pairs)
-                            for v in axes))
-               for pairs in _cube_pair_maps())
-    return best, all(0 not in row for row in best)
-
-
-def cube_trace_type(g3: GridPoset, elements: Sequence[int]
-                    ) -> tuple[tuple, bool]:
-    """Canonical coordinate-trace type of an induced 2^3 copy, plus tie-freeness.
-
-    The trace records, per ambient axis and per incomparable pair of the
-    abstract cube, the sign of the coordinate difference; the type is the
-    minimum encoding over cube relabelings and axis permutations. A copy is
-    tie-free when no incomparable pair is tied on any axis, i.e. the
-    coordinates induce a genuine realizer.
-    """
-    elems = sorted(set(elements))
-    iso = is_isomorphic(_cube(), induced_subposet(g3, elems))
-    if iso is None:
-        raise ContractViolation("element set does not induce a 2^3 copy")
-    return _trace_type(g3, [elems[i] for i in iso])
-
-
-def product_trace_type() -> tuple:
-    """The type induced by any 2^3 subgrid (the standard product realizer)."""
-    return _trace_type(_cube(), range(8))[0]
-
-
-class ProbeReport(Record):
-    n: int
-    copies_scanned: int
-    census: tuple[tuple[tuple, int], ...]
-    tie_free_census: tuple[tuple[tuple, int], ...]
-    product_type: tuple
-
-    @property
-    def distinct_types(self) -> int:
-        return len(self.census)
-
-
-def enumerate_tie_free_cube_copies(g3: GridPoset,
-                                   guard_nodes: int = NODE_GUARD
-                                   ) -> list[tuple[int, ...]]:
-    """Element sets of n^3 inducing 2^3 with no incomparable pair tied on any axis.
-
-    Tie-freeness is exactly what lets the coordinates induce a realizer, so
-    the incomparable rows handed to the kernel also exclude every element
-    sharing a coordinate with the placed one.
-    """
-    return [tuple(sorted(image)) for image in _tie_free_cube_embeddings(g3, guard_nodes)]
-
-
-def _tie_free_cube_embeddings(g3: GridPoset, guard_nodes: int) -> Iterator[tuple[int, ...]]:
-    """One embedding of 2^3 per tie-free copy, indexed by cube element."""
-    if g3.t != 3:
-        raise ContractViolation("the probe works on 3-dimensional grids")
-    coords = [g3.coords(e) for e in range(g3.n)]
-    on_axis = [[0] * g3.k for _ in range(3)]  # on_axis[a][v]: coordinate a equals v
-    for e, c in enumerate(coords):
-        for a in range(3):
-            on_axis[a][c[a]] |= 1 << e
-    tie_free_inc = [row & ~(on_axis[0][x] | on_axis[1][y] | on_axis[2][z])
-                    for row, (x, y, z) in zip(g3.inc, coords)]
-    # Atoms and coatoms first: they carry all nine incomparability constraints.
-    slot_order = (1, 2, 4, 3, 5, 6, 0, 7)
-    cube = _cube()
-    checks = [c + o for c, o in zip(order_checks(cube, slot_order, g3, tie_free_inc),
-                                    orbit_checks(cube, slot_order, g3.n))]
-    return induced_embeddings(slot_order, checks, [(1 << g3.n) - 1] * 8, guard_nodes,
-                              "tie-free copy search exceeded its node guard")
-
-
-def realizer_type_probe(n: int, scope: str = "tie-free",
-                        guard_copies: int = 500_000,
-                        guard_nodes: int = NODE_GUARD) -> ProbeReport:
-    """Census the coordinate-trace types of 2^3 subposets of n^3.
-
-    ``scope="tie-free"`` classifies exactly the copies whose coordinates
-    induce a realizer (the colorable ones in the t = 3 counterexample idea);
-    ``scope="all"`` additionally scans tied copies, which is feasible only
-    for very small n. A monochromatic 8^3 subposet would need every tie-free
-    copy inside it to generate one realizer type.
-    """
-    g3 = grid(n, 3)
-    if scope == "all":
-        images = _copy_search(g3, _cube(), None, None, guard_nodes, one_per_orbit=True)
-    elif scope == "tie-free":
-        images = _tie_free_cube_embeddings(g3, guard_nodes)
-    else:
-        raise ContractViolation(f"unknown probe scope {scope!r}")
-    census, tie_census = Counter(), Counter()
-    copies = 0
-    for image in images:
-        copies += 1
-        if copies > guard_copies:
-            raise GuardExceeded("probe census exceeded its copy guard")
-        tkey, tie_free = _trace_type(g3, image)
-        census[tkey] += 1
-        if tie_free:
-            tie_census[tkey] += 1
-        elif scope == "tie-free":
-            raise ContractViolation("tie-free enumerator produced a tied copy")
-    return ProbeReport(
-        n=n,
-        copies_scanned=copies,
-        census=tuple(sorted(census.items())),
-        tie_free_census=tuple(sorted(tie_census.items())),
-        product_type=product_trace_type(),
-    )
-
-
-def embed_cube_by_extensions(n: int, exts: Sequence[LinearExtension]) -> tuple[int, ...]:
-    """Separated 2^3 copy of n^3 built from a realizer triple's positions.
-
-    Axis i of the image of x is the position of x in exts[i], which needs
-    n >= 8. The images are the indices in ``grid(n, 3)``, which refuses n as
-    it refuses that grid.
-    """
-    cube = _cube()
-    if len(exts) != 3:
-        raise ContractViolation("a cube embedding needs exactly three orders")
-    for ext in exts:
-        if not is_linear_extension(cube, ext):
-            raise ContractViolation("order is not a linear extension of the cube")
-    g3 = grid(n, 3)
-    return tuple(g3.index(tuple(ext.index(x) for ext in exts)) for x in range(8))
-
-
-def cube_realizer_triples(limit: Optional[int] = None) -> list[tuple[LinearExtension, ...]]:
-    """Ordered extension triples of 2^3 whose set is a realizer, the first
-    ``limit`` of them in product order (all when None)."""
-    if limit is not None and limit < 0:
-        raise ContractViolation(f"limit must be non-negative, got {limit}")
-    cube = _cube()
-    exts = linear_extensions(cube, cap=8)
-    return [tuple(exts[i] for i in combo)
-            for combo in islice(realizer_tuples(cube, 3, exts), limit)]

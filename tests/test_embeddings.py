@@ -21,16 +21,15 @@ from gridlab.graphs import (
 from gridlab.grids import grid
 from gridlab.poset import Poset, automorphisms, enumerate_isomorphisms, \
     induced_embeddings, iter_bits, make_chain, orbit_checks, order_checks
+from gridlab.probe import _cube_embeddings, _tie_free_rows, cube_trace_type, \
+    enumerate_tie_free_cube_copies
 from gridlab.ramsey import (
     KIND_COMPARABILITY,
     NODE_GUARD,
     FunctionColoring,
     MapColoring,
     _copy_search,
-    _tie_free_cube_embeddings,
-    cube_trace_type,
     enumerate_induced_copy_sets,
-    enumerate_tie_free_cube_copies,
     find_monochromatic_copy,
     hash_coloring,
     induced_copies,
@@ -353,7 +352,7 @@ def _walk(search):
     (lambda: _copy_search(grid(3, 3), grid(2, 3), None, None, NODE_GUARD, True), 1331, 5575),
     (lambda: _copy_search(make_chain(16), make_chain(3), None, None, NODE_GUARD, True),
      560, 696),
-    (lambda: _tie_free_cube_embeddings(grid(4, 3), NODE_GUARD), 64, 5569),
+    (lambda: _cube_embeddings(grid(4, 3), _tie_free_rows(grid(4, 3)), NODE_GUARD), 64, 5569),
 ])
 def test_kernel_node_counts_are_pinned(search, yields, nodes):
     images, visited = _walk(search())

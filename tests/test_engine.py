@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridlab import ramsey
+from gridlab import engine, ramsey
 from gridlab.cli import run
+from gridlab.engine import Symmetry, box_symmetry, search_counterexample, vertex_symmetry
 from gridlab.errors import ContractViolation, GuardExceeded
 from gridlab.fileio import certificate_digest
 from gridlab.grids import grid
@@ -26,17 +27,14 @@ from gridlab.ramsey import (
     KIND_COMPARABILITY,
     KIND_SUBGRID,
     KIND_SUBPOSET,
-    box_symmetry,
     enumerate_induced_copy_sets,
     find_monochromatic_copy,
     find_monochromatic_subgrid,
     index_structures,
     min_ramsey_n,
     run_engine,
-    search_counterexample,
     verify_comparability_ramsey,
     verify_grid_ramsey,
-    vertex_symmetry,
 )
 
 
@@ -181,7 +179,7 @@ def test_guard_reasons_say_where_the_search_stopped(monkeypatch):
     # Within the handoff a --workers search is the serial one; past it, a shard
     # runs past the guard.
     assert _chain(11, 100, workers=2).reason == serial
-    monkeypatch.setattr(ramsey, "_HANDOFF", 10)
+    monkeypatch.setattr(engine, "_HANDOFF", 10)
     parallel = _chain(11, 100, workers=2)
     assert parallel.status == "inconclusive"
     assert re.fullmatch(r"counterexample search exceeded its node guard 100 "
@@ -264,7 +262,7 @@ def _sharded_instances(draw):
     structures += [rnd.sample(range(num_keys), rnd.randint(2, 4))
                    for _ in range(rnd.randint(0, 3))]
     guard = rnd.choice([50, 500, 10 ** 6])
-    handoff = rnd.choice([0, 1, 5, 40, 400, ramsey._HANDOFF])
+    handoff = rnd.choice([0, 1, 5, 40, 400, engine._HANDOFF])
     return num_keys, [tuple(sorted(s)) for s in structures], r, guard, handoff
 
 
@@ -281,7 +279,7 @@ def test_parallel_search_matches_the_serial_search(instance):
     num_keys, structures, r, guard, handoff = instance
     serial = _outcome(search_counterexample, num_keys, structures, r, guard)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ramsey, "_HANDOFF", handoff)
+        patch.setattr(engine, "_HANDOFF", handoff)
         parallel = _outcome(search_counterexample, num_keys, structures, r, guard, workers=2)
     assert parallel == serial
 
@@ -308,8 +306,8 @@ class _RefusingPool:
 ])
 def test_the_pool_is_never_larger_than_the_shards_or_cpus(monkeypatch, num_keys, structures,
                                                           handoff, workers, cpus, size):
-    monkeypatch.setattr(ramsey, "ProcessPoolExecutor", _RefusingPool)
-    monkeypatch.setattr(ramsey, "_HANDOFF", handoff)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", _RefusingPool)
+    monkeypatch.setattr(engine, "_HANDOFF", handoff)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     _RefusingPool.sizes.clear()
     with pytest.raises(RuntimeError, match="no pool"):
@@ -318,8 +316,8 @@ def test_the_pool_is_never_larger_than_the_shards_or_cpus(monkeypatch, num_keys,
 
 
 def test_a_frontier_without_shards_starts_no_pool(monkeypatch):
-    monkeypatch.setattr(ramsey, "ProcessPoolExecutor", _RefusingPool)
-    monkeypatch.setattr(ramsey, "_HANDOFF", 1)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", _RefusingPool)
+    monkeypatch.setattr(engine, "_HANDOFF", 1)
     _RefusingPool.sizes.clear()
     # Key 1 dies in both colors, so the walk passes the handoff at node 2 and
     # ends after 3 nodes with no live state past it: the serial search.
@@ -331,7 +329,7 @@ def test_a_frontier_without_shards_starts_no_pool(monkeypatch):
 
 
 def test_a_search_within_the_handoff_starts_no_pool(monkeypatch):
-    monkeypatch.setattr(ramsey, "ProcessPoolExecutor", _RefusingPool)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", _RefusingPool)
     _RefusingPool.sizes.clear()
     # The 5 x 5 cells at r = 2 settle "true" in 130 nodes, and the 6 x 6 cells
     # at r = 3 "false" in 276.
@@ -347,11 +345,11 @@ class _InlinePool:
     shutdown."""
 
     def __init__(self, max_workers=None, mp_context=None, initializer=None, initargs=()):
-        self.saved = ramsey._DEADLINE, ramsey._STOP, ramsey._ENGINE
+        self.saved = engine._DEADLINE, engine._STOP, engine._ENGINE
         initializer(*initargs)
 
     def shutdown(self, wait=True, cancel_futures=False):
-        ramsey._DEADLINE, ramsey._STOP, ramsey._ENGINE = self.saved
+        engine._DEADLINE, engine._STOP, engine._ENGINE = self.saved
 
     def submit(self, fn, *args):
         fut = Future()
@@ -382,13 +380,13 @@ def _engine_inputs(monkeypatch, verify):
 def test_shard_accounting_at_every_guard(monkeypatch, verify, finish, found):
     keys, structures, r, symmetry = _engine_inputs(monkeypatch, verify)
     num_keys = len(keys)
-    monkeypatch.setattr(ramsey, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", _InlinePool)
     for guard in range(finish + 1):
         serial = _outcome(search_counterexample, num_keys, structures, r, guard, symmetry)
         if guard < finish:
             assert serial == "guard"
         for handoff in range(finish + 1):
-            monkeypatch.setattr(ramsey, "_HANDOFF", handoff)
+            monkeypatch.setattr(engine, "_HANDOFF", handoff)
             for workers in (2, 4):
                 assert _outcome(search_counterexample, num_keys, structures, r, guard,
                                 symmetry, workers) == serial, (guard, handoff, workers)
@@ -411,7 +409,8 @@ def test_a_verdict_at_the_guard_edge_does_not_depend_on_workers(workers):
 # to the 300,000-node guard serially, with the row and column symmetry broken.
 _FORKSERVER_TIME_LIMIT = """
 import multiprocessing, time
-from gridlab.ramsey import KIND_SUBGRID, time_limit, verify_grid_ramsey
+from gridlab.engine import time_limit
+from gridlab.ramsey import KIND_SUBGRID, verify_grid_ramsey
 
 if __name__ == "__main__":
     multiprocessing.set_start_method("forkserver")
@@ -509,8 +508,9 @@ def test_a_symmetry_is_checked_on_the_distinct_keys_of_each_structure():
     assert search_counterexample(2, [(0, 0, 1)], 2, symmetry=box_symmetry((2,))) == (1, 2)
     with pytest.raises(ContractViolation, match="not invariant under S_2"):  # {1} -> {0}
         search_counterexample(2, [(0, 0, 1), (1, 1)], 2, symmetry=box_symmetry((2,)))
-    broken = box_symmetry((2,))
-    broken.generators = [[1, -1]]  # no permutation of the keys; -1 is no bit position
+    symmetry = box_symmetry((2,))
+    # no permutation of the keys; -1 is no bit position
+    broken = Symmetry(symmetry.name, ((1, -1),), symmetry.lex, symmetry.counted)
     with pytest.raises(ContractViolation, match="not invariant under S_2"):
         search_counterexample(2, [(0, 1)], 2, symmetry=broken)
 
@@ -600,12 +600,12 @@ def _grid_symmetry_reference(a, b):
     return f"S_{a} x S_{b}", generators, lex
 
 
-def test_box_symmetry_on_two_axes_is_the_grid_declaration(monkeypatch):
-    monkeypatch.setattr(ramsey, "_lex_leader", lambda lex, colors, counted=None: lex)
+def test_box_symmetry_on_two_axes_is_the_grid_declaration():
     for a, b in product(range(1, 8), repeat=2):
         symmetry = box_symmetry((a, b))
-        got = symmetry.name, symmetry.generators, symmetry.constraints(range(1, 3))
+        got = symmetry.name, list(map(list, symmetry.generators)), list(symmetry.lex)
         assert got == _grid_symmetry_reference(a, b), (a, b)
+        assert symmetry.counted is None
 
 
 def _cells(sides):
@@ -681,17 +681,15 @@ def _chain_structures(n):
     return index_structures(keys, (combinations(t, 2) for t in combinations(range(n), 3)))
 
 
-def test_symmetry_declarations_pickle_by_their_parameters():
+def test_symmetry_declarations_pickle_as_data():
     keys, groups = _box_rectangles(3, 5)
     structures = index_structures(keys, groups)
     cubes = index_structures(_cells((2, 3, 2)), _axis_orbit((2, 3, 2), _SOLIDS["box"]))
     for symmetry, num_keys, structs in ((box_symmetry((3, 5)), 15, structures),
                                         (box_symmetry((2, 3, 2)), 12, cubes),
                                         (vertex_symmetry(6), 15, _chain_structures(6))):
-        data = pickle.dumps(symmetry)
-        assert len(data) < 200  # the call that built it, not its tables
-        copy = pickle.loads(data)
-        assert (copy.name, copy.generators) == (symmetry.name, symmetry.generators)
+        copy = pickle.loads(pickle.dumps(symmetry))
+        assert copy == symmetry
         for r in (2, 3):
             assert search_counterexample(num_keys, structs, r, symmetry=copy) == \
                 search_counterexample(num_keys, structs, r, symmetry=symmetry)
@@ -768,7 +766,7 @@ def test_subposet_hull_lookup_keeps_the_time_limit(monkeypatch):
     # The copy searches of this small build check the clock only every 4096
     # nodes, so an expired limit is first seen while the hulls are filled.
     monkeypatch.setattr(ramsey, "run_engine", lambda *args, **kwargs: pytest.fail("built"))
-    with ramsey.time_limit(0):
+    with engine.time_limit(0):
         verdict = verify_grid_ramsey(KIND_SUBPOSET, 2, 2, 1, 2, 4)
     assert (verdict.status, verdict.reason) == ("inconclusive", "time limit exceeded")
 
@@ -778,7 +776,7 @@ def test_the_comparability_build_keeps_the_time_limit(monkeypatch):
     # engine; an expired limit there is an inconclusive verdict, as in the
     # subposet kind's build.
     monkeypatch.setattr(ramsey, "run_engine", lambda *args, **kwargs: pytest.fail("built"))
-    with ramsey.time_limit(0):
+    with engine.time_limit(0):
         verdict = verify_comparability_ramsey(grid(2, 2), grid(6, 2), 2)
     assert (verdict.status, verdict.reason) == ("inconclusive", "time limit exceeded")
 
@@ -801,7 +799,7 @@ def _members(bits):
 
 
 def _assert_bits_match_the_reference(num_keys, structures):
-    holding, masks, counts = ramsey._structure_bits(num_keys, structures)
+    holding, masks, counts = engine._structure_bits(num_keys, structures)
     want = _reference_bits(num_keys, structures)
     assert ([_members(x) for x in holding], [_members(x) for x in masks],
             [_members(x) for x in counts]) == want
@@ -839,4 +837,4 @@ def test_the_index_refuses_keys_out_of_range(structure):
     # list of rows or a bytearray read at a negative key would wrap instead.
     error = ValueError if min(structure) < 0 else IndexError
     with pytest.raises(error):
-        ramsey._structure_bits(5, [(0, 1, 2), structure])
+        engine._structure_bits(5, [(0, 1, 2), structure])

@@ -155,6 +155,21 @@ def test_load_coloring_reads_keys_as_grid_index_does(tmp_path, kind, raw_key):
     assert list(load_coloring(path, g).assignment.items()) == list(want.items())
 
 
+@pytest.mark.parametrize("kind", [KIND_COMPARABILITY, KIND_SUBPOSET])
+@pytest.mark.parametrize("raw_key, value", [
+    ([[0, 1.5], [2, 2]], "1.5"),  # once the element set (1.5, 8), or a crash as a pair
+    ([[False, 0.0], [True, 1.0]], "false"),  # once matched to (0, 0) and (1, 1)
+    ([[0, 0], [1, 1.0]], "1.0"),
+])
+def test_load_coloring_refuses_a_coordinate_that_is_not_an_int(tmp_path, kind, raw_key, value):
+    path = tmp_path / "c.coloring"
+    _coloring_file_with(path, kind, raw_key)
+    with pytest.raises(InvalidInput) as info:
+        load_coloring(path, grid(3, 2))
+    assert str(info.value) == \
+        f"{path}: key {canonical_json(raw_key)}: coordinate {value} is not an int"
+
+
 @pytest.mark.parametrize("raw_key", [
     [[0, 1], [0, 0]],  # a comparable pair, reversed
     [[0, 1], [1, 0]],  # an incomparable pair

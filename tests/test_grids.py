@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -74,6 +75,14 @@ def test_grid_coord_round_trip():
 def test_grid_index_refuses_a_coordinate_list_of_the_wrong_length(coords):
     # Read digit by digit, (1, 0, 2) would be element 11 of the 9-element 3^2.
     with pytest.raises(ContractViolation, match=f"expected 2 coordinates, got {len(coords)}"):
+        grid(3, 2).index(coords)
+
+
+@pytest.mark.parametrize("coords, value", [((0, 1.5), "1.5"), ((True, 0), "True"),
+                                           ((1.0, 2), "1.0")])
+def test_grid_index_refuses_a_coordinate_that_is_not_an_int(coords, value):
+    # Each lies in range: (0, 1.5) read as element 1.5, (True, 0) as 3.
+    with pytest.raises(ContractViolation, match=f"coordinate {re.escape(value)} is not an int"):
         grid(3, 2).index(coords)
 
 

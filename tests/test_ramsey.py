@@ -7,10 +7,18 @@ from itertools import combinations, permutations
 
 import pytest
 
-from gridlab import ramsey
+from gridlab import probe
 from gridlab.errors import ChainStepFailure, ContractViolation, GuardExceeded
 from gridlab.grids import Subgrid, casual_embeddings, core_elements, grid
 from gridlab.poset import enumerate_isomorphisms, induced_subposet, make_antichain, make_chain
+from gridlab.probe import (
+    cube_realizer_triples,
+    cube_trace_type,
+    embed_cube_by_extensions,
+    enumerate_tie_free_cube_copies,
+    product_trace_type,
+    realizer_type_probe,
+)
 from gridlab.ramsey import (
     KIND_COMPARABILITY,
     KIND_SUBGRID,
@@ -20,23 +28,16 @@ from gridlab.ramsey import (
     MapColoring,
     boolean_lattice_embed,
     comparability_keys,
-    cube_realizer_triples,
-    cube_trace_type,
-    embed_cube_by_extensions,
     enumerate_induced_copy_sets,
-    enumerate_tie_free_cube_copies,
     find_monochromatic_copy,
     find_monochromatic_subgrid,
     hash_coloring,
     induced_copies,
     min_ramsey_n,
     multicolor_bootstrap,
-    product_trace_type,
     random_map_coloring,
-    realizer_type_probe,
     reduce_comparability_to_subgrid,
     reduce_subposet_to_subgrid,
-    subposet_copy_key,
     verify_at,
     verify_bootstrap_chain,
     verify_comparability_ramsey,
@@ -419,10 +420,6 @@ def test_boolean_lattice_embed_grid_into_2_4():
                 assert g.lt(x, y) == target.lt(idx[x], idx[y])
 
 
-def test_subposet_copy_key_sorts():
-    assert subposet_copy_key([5, 1, 3]) == (1, 3, 5)
-
-
 def test_copy_enumeration_counts():
     q = make_chain(4)
     assert len(enumerate_induced_copy_sets(q, make_chain(2))) == 6
@@ -544,7 +541,7 @@ def test_probe_refuses_a_tied_copy_and_counts_its_guard(monkeypatch):
     with pytest.raises(GuardExceeded, match="copy guard"):
         realizer_type_probe(4, guard_copies=63)
     subgrid = [0, 1, 3, 4, 9, 10, 12, 13]
-    monkeypatch.setattr(ramsey, "_tie_free_cube_embeddings", lambda g3, guard: [subgrid])
+    monkeypatch.setattr(probe, "_cube_embeddings", lambda g3, inc, guard: [subgrid])
     with pytest.raises(ContractViolation, match="tied copy"):
         realizer_type_probe(3)
 

@@ -17,6 +17,7 @@ import pytest
 from gridlab.acceptance import CriterionResult
 from gridlab.booldim import BooleanDimResult, BooleanRealizer
 from gridlab.cli import RunResult
+from gridlab.engine import box_symmetry
 from gridlab.errors import ContractViolation, Record
 from gridlab.extension import (
     AllGoodResult,
@@ -29,11 +30,11 @@ from gridlab.extension import (
 from gridlab.graphs import EdgeColoring
 from gridlab.grids import Subgrid, casual_embeddings, unique_realizer_check
 from gridlab.poset import LinearExtension, Realizer, make_chain
+from gridlab.probe import ProbeReport
 from gridlab.ramsey import (
     BootstrapResult,
     BootstrapStep,
     MonoWitness,
-    ProbeReport,
     ThresholdResult,
     Verdict,
     boolean_lattice_embed,
@@ -64,6 +65,7 @@ FROZEN = [
     (boolean_lattice_embed(make_chain(2)), ("dimension", "vectors")),
     (ProbeReport(3, 27, (((1,), 2),), (((1,), 2),), (1,)),
      ("n", "copies_scanned", "census", "tie_free_census", "product_type")),
+    (box_symmetry((2, 3)), ("name", "generators", "lex", "counted")),
     (_PART, ("parts",)),
     (AntipodalPair("0110"), ("low",)),
     (AlternatingCycleCertificate(0, 1, (0,), (1,), (2,), "01", "10", ((0, 1), (2, 3))),
@@ -92,7 +94,7 @@ def test_every_record_class_is_covered():
 
     library = {cls for cls in subclasses(Record) if cls.__module__.startswith("gridlab.")}
     assert library == {type(record) for record, _ in ALL}
-    assert len(library) == 23
+    assert len(library) == 24
 
 
 def _ids(cases):

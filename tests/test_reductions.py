@@ -510,6 +510,21 @@ def test_reduce_rejects_a_coloring_file_with_keys_that_are_no_comparable_pairs(t
         f"input error: {path}: key [[0,1],[0,0]] is not a comparable pair a < b"
 
 
+def test_reduce_rejects_a_coloring_file_with_a_coordinate_that_is_not_an_int(tmp_path):
+    # false and 0.0 equal 0, and true and 1.0 equal 1: the key once read as (0,0) < (1,1).
+    path, g = tmp_path / "coloring.json", grid(2, 2)
+    save_coloring(path, MapColoring(KIND_COMPARABILITY, 2,
+                                    {k: 1 for k in comparability_keys(g)}), g)
+    payload = json.loads(path.read_text())
+    entry = next(e for e in payload["assignment"] if e[0] == [[0, 0], [1, 1]])
+    entry[0] = [[False, 0.0], [True, 1.0]]
+    path.write_text(json.dumps(payload))
+    result = cli.run(_REDUCE + ["comparability", "--n", "2", "--coloring", str(path)])
+    assert (result.exit_code, result.certificate) == (65, None)
+    assert result.output == \
+        f"input error: {path}: key [[false,0.0],[true,1.0]]: coordinate false is not an int"
+
+
 @pytest.mark.parametrize("m", ["-1", "0"])
 def test_reduce_cli_rejects_m_below_one(m):
     result = cli.run(_REDUCE + ["subposet", "--n", "9", "--m", m])
